@@ -120,7 +120,11 @@ def cmd_decode(args) -> int:
     plan = _load_plan(args)
     with open(args.answers_file, encoding="utf-8") as fh:
         raw = json.load(fh)
-    answers = [(int(u), int(v), int(s)) for u, v, s in raw]
+    if not isinstance(raw, list) or not all(
+        isinstance(a, list) and len(a) == 3 and all(isinstance(x, int) for x in a) for a in raw
+    ):
+        raise ValueError("answers must be a JSON list of [u, v, sign] integer triples")
+    answers = [tuple(a) for a in raw]
     try:
         if any(m != 1 for _, _, m in plan.queries):
             if args.lies is None:

@@ -196,11 +196,6 @@ class GameState:
         return count
 
 
-def is_terminal(game: GameState) -> bool:
-    """True when exactly one k-partition is within the game's lie budget."""
-    return game.is_terminal()
-
-
 @dataclass
 class ResponderState:
     """Adversary bookkeeping: which regime it is in, and any commitment."""

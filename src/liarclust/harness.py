@@ -438,15 +438,18 @@ def _audit_nonadaptive(n_range) -> list[AuditRow]:
                 want = comb(n, 2) - n // 2
             else:
                 want = comb(n, 2) - 1
-            ok = plan.total_queries == want and plan_decodable(plan)
-            robust = robust_plan(plan, 1)
-            ok = ok and plan_decodable(robust, l=1)
+            decodable = plan_decodable(plan)
+            ok = (
+                plan.total_queries == want
+                and decodable
+                and plan_decodable(robust_plan(plan, 1), l=1)
+            )
             rows.append(
                 AuditRow(
                     cell=f"n={n} k={'?' if k is None else k}",
                     expected=f"{want} queries, decodable",
                     observed=f"{plan.total_queries} queries, "
-                    f"decodable={plan_decodable(plan)}",
+                    f"decodable={decodable}",
                     ok=ok,
                 )
             )

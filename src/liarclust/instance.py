@@ -95,16 +95,6 @@ class SignedInstance:
                 total += w
         return total
 
-    def _cost_labels(self, labels: tuple[int, ...]) -> int:
-        total = 0
-        for (u, v), w in self._pos.items():
-            if labels[u] != labels[v]:
-                total += w
-        for (u, v), w in self._neg.items():
-            if labels[u] == labels[v]:
-                total += w
-        return total
-
     def cc_min(self) -> tuple[int, Partition]:
         """Minimum disagreement cost over all partitions, with the first witness."""
         return self._minimise(enumerate_partitions(self.n))

@@ -5,34 +5,28 @@ variants that repeat queries.  Plans built here are minimal for their
 setting: a star for two clusters, everything except a perfect matching
 between the two halves for three clusters, everything except a single pair
 for four or more clusters, and the complete pair set when the cluster count
-is unknown.  Each plan carries the name of the decoder that can reconstruct
-the hidden partition from truthful answers; decoders validate as they go
-and raise InfeasibleAnswersError when no partition the plan can name
-explains the answers, or AmbiguousAnswersError when more than one does.
+is unknown.
+
+One decoder serves every plan, built here or supplied by a user.  A
+partition agrees with a set of answers exactly when, once the positive
+answers have merged elements into components, it properly colors the graph
+of negative answers between components, using every one of the promised
+k colors.  The decoder therefore returns the unique such coloring, and
+raises InfeasibleAnswersError when none exists or AmbiguousAnswersError
+when more than one does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product
+from math import comb
 
-from ..instance import SignedInstance
+from ..coloring import SimpleGraph, unique_surjective_k_coloring
+from ..instance import MULTIPLE
 from ..limits import check_enumeration_n
 from ..partitions import Partition, enumerate_k_partitions, enumerate_partitions
 
 Pair = tuple[int, int]
-
-DECODER_STAR = "star"
-DECODER_SPLIT_MATCHING = "split_matching"
-DECODER_ALL_BUT_ONE = "all_but_one"
-DECODER_COMPLETE = "complete"
-
-_DECODERS = (
-    DECODER_STAR,
-    DECODER_SPLIT_MATCHING,
-    DECODER_ALL_BUT_ONE,
-    DECODER_COMPLETE,
-)
 
 
 class DecodeError(ValueError):
@@ -49,25 +43,22 @@ class AmbiguousAnswersError(DecodeError):
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A fixed multiset of pair queries plus the decoder that inverts them.
+    """A fixed multiset of pair queries over n elements.
 
-    k_mode is the promised number of clusters, or None when the decoder
-    works without one.  queries holds (u, v, multiplicity) with u < v, each
-    pair at most once.
+    k_mode is the promised number of clusters, or None when any number is
+    possible.  queries holds (u, v, multiplicity) with u < v, each pair at
+    most once.
     """
 
     n: int
     k_mode: int | None
     queries: tuple[tuple[int, int, int], ...]
-    decoder_id: str
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least two elements, got n={self.n}")
         if self.k_mode is not None and not 1 <= self.k_mode <= self.n:
             raise ValueError(f"k_mode {self.k_mode} out of range for n={self.n}")
-        if self.decoder_id not in _DECODERS:
-            raise ValueError(f"unknown decoder {self.decoder_id!r}")
         seen = set()
         for u, v, m in self.queries:
             if not (0 <= u < v < self.n):
@@ -90,14 +81,24 @@ class QueryPlan:
             "n": self.n,
             "k_mode": self.k_mode,
             "queries": [list(q) for q in self.queries],
-            "decoder": self.decoder_id,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QueryPlan":
-        queries = tuple(tuple(int(x) for x in q) for q in data["queries"])
-        k_mode = data["k_mode"]
-        return cls(int(data["n"]), None if k_mode is None else int(k_mode), queries, data["decoder"])
+        """Load a plan; a "decoder" key written by older versions is ignored."""
+        if not isinstance(data, dict):
+            raise ValueError("a plan must be a JSON object")
+        try:
+            k_mode = data["k_mode"]
+            return cls(
+                int(data["n"]),
+                None if k_mode is None else int(k_mode),
+                tuple(tuple(int(x) for x in q) for q in data["queries"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"plan has no {exc.args[0]!r} key") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed plan: {exc}") from None
 
 
 def _all_pairs(n: int) -> list[Pair]:
@@ -116,22 +117,22 @@ def build_plan(n: int, k: int | None = None) -> QueryPlan:
         raise ValueError(f"need at least two elements, got n={n}")
     if k is None:
         queries = tuple((u, v, 1) for u, v in _all_pairs(n))
-        return QueryPlan(n, None, queries, DECODER_COMPLETE)
+        return QueryPlan(n, None, queries)
     if not 2 <= k < n:
         raise ValueError(f"known-k plans need 2 <= k < n, got k={k}, n={n}")
     if k == 2:
         queries = tuple((0, v, 1) for v in range(1, n))
-        return QueryPlan(n, 2, queries, DECODER_STAR)
+        return QueryPlan(n, 2, queries)
     if k == 3 and n >= 5:
         half = (n + 1) // 2
         silent = {(i, half + i) for i in range(n - half)}
         queries = tuple((u, v, 1) for u, v in _all_pairs(n) if (u, v) not in silent)
-        return QueryPlan(n, 3, queries, DECODER_SPLIT_MATCHING)
+        return QueryPlan(n, 3, queries)
     # k >= 4, and the one boundary case (n=4, k=3) where the same shape works:
     # ask everything except the single pair (n-2, n-1).
     silent_pair = (n - 2, n - 1)
     queries = tuple((u, v, 1) for u, v in _all_pairs(n) if (u, v) != silent_pair)
-    return QueryPlan(n, k, queries, DECODER_ALL_BUT_ONE)
+    return QueryPlan(n, k, queries)
 
 
 def robust_plan(plan: QueryPlan, l: int) -> QueryPlan:
@@ -183,7 +184,7 @@ def decode_plan(plan: QueryPlan, answers) -> Partition:
         raise ValueError("plan repeats queries; decode with majority_decode")
     grouped = _group_answers(plan, answers)
     signs = {pair: sgns[0] for pair, sgns in grouped.items()}
-    return _dispatch(plan, signs)
+    return _decode(plan, signs)
 
 
 def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
@@ -203,71 +204,19 @@ def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
         if pos == neg:
             raise InfeasibleAnswersError(f"pair {pair} answered to an exact tie")
         signs[pair] = 1 if pos > neg else -1
-    base = replace(plan, queries=tuple((u, v, 1) for u, v, _ in plan.queries))
-    return _dispatch(base, signs)
+    return _decode(plan, signs)
 
 
-def _check_plan_shape(plan: QueryPlan) -> None:
-    """Verify the query set has the structure its decoder relies on."""
-    asked = set(plan.pairs())
-    missing = set(_all_pairs(plan.n)) - asked
-    if plan.decoder_id == DECODER_STAR:
-        if plan.k_mode != 2 or asked != {(0, v) for v in range(1, plan.n)}:
-            raise ValueError("star decoder needs k_mode 2 and exactly the star of 0")
-    elif plan.decoder_id == DECODER_COMPLETE:
-        if missing:
-            raise ValueError("complete decoder needs every pair queried")
-    elif plan.decoder_id == DECODER_ALL_BUT_ONE:
-        if plan.k_mode is None or len(missing) != 1:
-            raise ValueError("all_but_one decoder needs known k and one silent pair")
-    else:
-        if plan.k_mode != 3:
-            raise ValueError("split_matching decoder needs k_mode 3")
-        half = (plan.n + 1) // 2
-        touched: set[int] = set()
-        for u, v in missing:
-            if (u < half) == (v < half):
-                raise ValueError("silent pairs must cross the two halves")
-            if u in touched or v in touched:
-                raise ValueError("silent pairs must form a matching")
-            touched.update((u, v))
+def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
+    """The single candidate partition that agrees with every answer.
 
-
-def _dispatch(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
-    _check_plan_shape(plan)
-    if plan.decoder_id == DECODER_STAR:
-        return _decode_star(plan, signs)
-    if plan.decoder_id == DECODER_COMPLETE:
-        return _decode_complete(plan, signs)
-    if plan.decoder_id == DECODER_ALL_BUT_ONE:
-        return _decode_all_but_one(plan, signs)
-    return _decode_split_matching(plan, signs)
-
-
-def _validated(plan: QueryPlan, signs: dict[Pair, int], clusters) -> Partition:
-    """Build the partition and check it explains every answer exactly."""
-    cleaned = tuple(tuple(sorted(c)) for c in clusters if c)
-    covered = sorted(x for c in cleaned for x in c)
-    if covered != list(range(plan.n)):
-        raise InfeasibleAnswersError("answers do not describe a partition")
-    p = Partition(plan.n, cleaned)
-    if plan.k_mode is not None and p.k != plan.k_mode:
-        raise InfeasibleAnswersError(
-            f"answers describe {p.k} clusters, plan promises {plan.k_mode}"
-        )
-    for (u, v), s in signs.items():
-        if p.same_cluster(u, v) != s:
-            raise InfeasibleAnswersError(f"answer for {(u, v)} contradicts the rest")
-    return p
-
-
-def _decode_star(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
-    with_zero = [0] + [v for v in range(1, plan.n) if signs[(0, v)] == 1]
-    other = [v for v in range(1, plan.n) if signs[(0, v)] == -1]
-    return _validated(plan, signs, [with_zero, other])
-
-
-def _decode_complete(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
+    Positive answers merge elements into components, and a negative answer
+    inside a component contradicts them.  The candidates that remain are
+    the proper colorings of the conflict graph that the negative answers
+    draw between components: with every one of k_mode colors used when
+    k_mode is set, and any coloring otherwise, which is unique exactly when
+    every two components are told apart.
+    """
     parent = list(range(plan.n))
 
     def find(x):
@@ -279,170 +228,29 @@ def _decode_complete(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
     for (u, v), s in signs.items():
         if s == 1:
             parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for x in range(plan.n):
-        groups.setdefault(find(x), []).append(x)
-    return _validated(plan, signs, list(groups.values()))
-
-
-def _pos_components(members, signs: dict[Pair, int]) -> list[list[int]]:
-    """Connected components of the positive answers within a fully queried set."""
-    parent = {x: x for x in members}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, u in enumerate(members):
-        for v in members[i + 1 :]:
-            if signs[(min(u, v), max(u, v))] == 1:
-                parent[find(u)] = find(v)
-    groups: dict[int, list[int]] = {}
-    for x in members:
-        groups.setdefault(find(x), []).append(x)
-    return sorted(groups.values(), key=lambda c: c[0])
-
-
-def _decode_all_but_one(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
-    k = plan.k_mode
-    silent = set(_all_pairs(plan.n)) - set(signs)
-    (a, b) = silent.pop()
-    core = [x for x in range(plan.n) if x not in (a, b)]
-    comps = _pos_components(core, signs)
-
-    def attachments(x):
-        hits = []
-        for i, comp in enumerate(comps):
-            if any(signs[(min(x, w), max(x, w))] == 1 for w in comp):
-                hits.append(i)
-        return hits
-
-    at_a, at_b = attachments(a), attachments(b)
-    if len(at_a) > 1 or len(at_b) > 1:
-        raise InfeasibleAnswersError("an element joins two separated groups")
-    r = len(comps)
-    clusters = [list(c) for c in comps]
-    if r == k:
-        if not at_a or not at_b:
-            raise InfeasibleAnswersError("too many clusters for the promised count")
-        clusters[at_a[0]].append(a)
-        clusters[at_b[0]].append(b)
-    elif r == k - 1:
-        if at_a and at_b:
-            raise InfeasibleAnswersError("too few clusters for the promised count")
-        if at_a:
-            clusters[at_a[0]].append(a)
-            clusters.append([b])
-        elif at_b:
-            clusters[at_b[0]].append(b)
-            clusters.append([a])
-        else:
-            clusters.append([a, b])
-    elif r == k - 2:
-        if at_a or at_b:
-            raise InfeasibleAnswersError("cluster count cannot reach the promise")
-        clusters.append([a])
-        clusters.append([b])
-    else:
-        raise InfeasibleAnswersError(f"answers show {r} groups, impossible for k={k}")
-    return _validated(plan, signs, clusters)
-
-
-def _decode_split_matching(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
-    """Decoder for the three-cluster plan that skips a cross-half matching.
-
-    Within each half every pair is answered, so each half splits into
-    definite groups.  A half showing two or three groups pins down two or
-    three of the clusters; the other elements are then placed by their
-    answers toward already placed elements, with the one genuinely
-    deferrable element (its only unqueried partner is a singleton group)
-    resolved by trying the few completions that remain.
-    """
-    n = plan.n
-    half = (n + 1) // 2
-    upper = list(range(half))
-    lower = list(range(half, n))
-    comps_u = _pos_components(upper, signs)
-    comps_l = _pos_components(lower, signs)
-    if len(comps_u) >= 2:
-        side, side_comps = upper, comps_u
-    elif len(comps_l) >= 2:
-        side, side_comps = lower, comps_l
-    else:
-        raise InfeasibleAnswersError("no half shows two groups; three clusters need one")
-    if len(side_comps) > 3:
-        raise InfeasibleAnswersError("a half shows more than three groups")
-
-    # Cluster slots 0, 1, 2; slot 2 starts empty when the side shows two groups.
-    assignment: dict[int, int] = {}
-    for slot, comp in enumerate(side_comps):
-        for x in comp:
-            assignment[x] = slot
-    others = [x for x in range(n) if x not in assignment]
-
-    def sign_between(x, y):
-        return signs.get((min(x, y), max(x, y)))
-
-    changed = True
-    while changed:
-        changed = False
-        for v in others:
-            if v in assignment:
-                continue
-            hits = set()
-            excluded = set()
-            for w, slot in assignment.items():
-                s = sign_between(v, w)
-                if s == 1:
-                    hits.add(slot)
-                elif s == -1:
-                    excluded.add(slot)
-            if len(hits) > 1:
-                raise InfeasibleAnswersError("an element joins two separated groups")
-            if len(hits) == 1:
-                assignment[v] = hits.pop()
-                changed = True
-                continue
-            candidates = {0, 1, 2} - excluded
-            if not candidates:
-                raise InfeasibleAnswersError("an element is shut out of every cluster")
-            if len(candidates) == 1:
-                assignment[v] = candidates.pop()
-                changed = True
-
-    stalled = [v for v in others if v not in assignment]
-    options = []
-    for v in stalled:
-        excluded = {
-            assignment[w]
-            for w in assignment
-            if sign_between(v, w) == -1
-        }
-        options.append(sorted({0, 1, 2} - excluded))
-    assert len(stalled) <= 2, "more than two unplaced elements cannot happen"
-
-    valid: list[Partition] = []
-    for combo in product(*options):
-        slots: list[list[int]] = [[], [], []]
-        for x, slot in assignment.items():
-            slots[slot].append(x)
-        for v, slot in zip(stalled, combo):
-            slots[slot].append(v)
-        if any(not s for s in slots):
-            continue
-        try:
-            p = _validated(plan, signs, slots)
-        except InfeasibleAnswersError:
-            continue
-        if p not in valid:
-            valid.append(p)
-    if not valid:
-        raise InfeasibleAnswersError("no three-cluster partition explains the answers")
-    if len(valid) > 1:
+    component = Partition.from_labels(find(x) for x in range(plan.n))
+    comp_of = component.labels
+    conflicts = set()
+    for (u, v), s in signs.items():
+        if s == -1:
+            a, b = comp_of[u], comp_of[v]
+            if a == b:
+                raise InfeasibleAnswersError(f"answer for {(u, v)} contradicts the rest")
+            conflicts.add((a, b) if a < b else (b, a))
+    if plan.k_mode is None:
+        if len(conflicts) < comb(component.k, 2):
+            raise AmbiguousAnswersError("two groups are never told apart")
+        return component
+    coloring = unique_surjective_k_coloring(
+        SimpleGraph(component.k, frozenset(conflicts)), plan.k_mode
+    )
+    if coloring is None:
+        raise InfeasibleAnswersError(
+            f"no {plan.k_mode}-cluster partition explains the answers"
+        )
+    if coloring == MULTIPLE:
         raise AmbiguousAnswersError("answers leave more than one valid reading")
-    return valid[0]
+    return Partition.from_labels(coloring.labels[c] for c in comp_of)
 
 
 def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:

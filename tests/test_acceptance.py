@@ -48,7 +48,6 @@ from liarclust.learners.adaptive import (
     robustify,
 )
 from liarclust.learners.plans import (
-    DECODER_COMPLETE,
     QueryPlan,
     build_plan,
     decode_plan,
@@ -155,7 +154,7 @@ def test_03_plans_of_minimal_size():
     pairs5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
     for k, keep in ((3, 7), (4, 8)):
         for chosen in itertools.combinations(pairs5, keep):
-            trial = QueryPlan(5, k, tuple((u, v, 1) for u, v in chosen), DECODER_COMPLETE)
+            trial = QueryPlan(5, k, tuple((u, v, 1) for u, v in chosen))
             subsets += 1
             if plan_decodable(trial, 0):
                 failures.append(f"{keep} queries decode k={k} at n=5: {chosen}")
@@ -163,7 +162,7 @@ def test_03_plans_of_minimal_size():
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         for dropped in all_pairs:
             rest = tuple((u, v, 1) for u, v in all_pairs if (u, v) != dropped)
-            trial = QueryPlan(n, None, rest, DECODER_COMPLETE)
+            trial = QueryPlan(n, None, rest)
             subsets += 1
             if plan_decodable(trial, 0):
                 failures.append(f"complete minus {dropped} decodes unknown k at n={n}")
@@ -209,7 +208,8 @@ def test_05_adversary_pushes_robust_insertion_to_the_floor():
         for k in range(2, n):
             for l in range(3):
                 floor = adaptive_lower_bound_ceil(n, k, l)
-                cap = 4 * (upper_bound_known(n, k, l) + 2) + 4 * (l + 1) * n
+                upper = upper_bound_known(n, k, l)
+                cap = 4 * (upper + 2) + 4 * (l + 1) * n
                 got = run_game(
                     lambda o: robust_insertion_known_k(n, k, l, o),
                     AdversarialOracle(n, k, l),
@@ -220,8 +220,13 @@ def test_05_adversary_pushes_robust_insertion_to_the_floor():
                     failures.append(f"n={n} k={k} l={l}: wrong partition")
                 if got.queries < floor:
                     failures.append(f"n={n} k={k} l={l}: {got.queries} queries under floor {floor}")
-    _report(5, "adversary reaches the lower bound", failures,
-            f"{cells} cells with n <= 6, l <= 2 all at or above their floor")
+                if got.queries != upper:
+                    failures.append(
+                        f"n={n} k={k} l={l}: {got.queries} queries, upper bound is {upper}"
+                    )
+    _report(5, "adversary pushes robust insertion to its upper bound", failures,
+            f"{cells} cells with n <= 6, l <= 2 all at or above their floor, "
+            "each exactly at upper_bound_known")
 
 
 def test_06_robust_learners_survive_random_lies():

@@ -83,7 +83,7 @@ def test_plan_and_check_plan(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "plan", "-n", "6", "-k", "3")
     assert code == 0
     plan = json.loads(out)
-    assert plan["decoder"] == "split_matching"
+    assert set(plan) == {"n", "k_mode", "queries"}
     assert len(plan["queries"]) == 12
 
     plan_file = tmp_path / "plan.json"
@@ -183,3 +183,19 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["simulate", "--learner", "nonsense", "-n", "4"])
     assert info.value.code == 2
+
+
+def test_malformed_files_exit_two(capsys, tmp_path):
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"n": 4}))
+    answers_file = tmp_path / "answers.json"
+    answers_file.write_text(json.dumps([1, 2]))
+    for argv in (
+        ["check-plan", "--plan-file", str(plan_file)],
+        ["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err

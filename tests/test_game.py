@@ -11,7 +11,6 @@ from liarclust.game import (
     SearchBudgetExceededError,
     _relabel_tables,
     exact_game_value,
-    is_terminal,
     responder_answer,
 )
 from liarclust.instance import SignedInstance
@@ -74,7 +73,7 @@ def test_terminality_and_witness():
     game.record(0, 1, -1)
     assert not game.is_terminal()
     game.record(0, 2, -1)
-    assert is_terminal(game)
+    assert game.is_terminal()
     assert game.unique_witness() == Partition(3, ((0,), (1, 2)))
 
     relaxed = GameState(3, 2, 1)

@@ -1,7 +1,8 @@
-"""Tests for nonadaptive query plans and their decoders."""
+"""Tests for nonadaptive query plans and their decoder."""
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
@@ -17,22 +18,24 @@ from liarclust.learners.plans import (
     robust_plan,
     truthful_answers,
 )
-from liarclust.partitions import Partition, enumerate_k_partitions, enumerate_partitions
+from liarclust.partitions import (
+    Partition,
+    enumerate_k_partitions,
+    enumerate_partitions,
+    random_k_partition,
+)
 
 
 def test_plan_shapes_and_sizes():
     star = build_plan(6, 2)
-    assert star.decoder_id == "star"
     assert star.total_queries == 5
     assert star.pairs() == tuple((0, v) for v in range(1, 6))
 
     boundary = build_plan(4, 3)
-    assert boundary.decoder_id == "all_but_one"
     assert boundary.total_queries == comb(4, 2) - 1
     assert (2, 3) not in boundary.pairs()
 
     split = build_plan(6, 3)
-    assert split.decoder_id == "split_matching"
     assert split.total_queries == comb(6, 2) - 3
     missing = set((u, v) for u in range(6) for v in range(u + 1, 6)) - set(split.pairs())
     assert missing == {(0, 3), (1, 4), (2, 5)}
@@ -45,12 +48,10 @@ def test_plan_shapes_and_sizes():
     assert missing == {(0, 4), (1, 5), (2, 6)}
 
     dense = build_plan(7, 5)
-    assert dense.decoder_id == "all_but_one"
     assert dense.total_queries == comb(7, 2) - 1
     assert (5, 6) not in dense.pairs()
 
     full = build_plan(5)
-    assert full.decoder_id == "complete"
     assert full.k_mode is None
     assert full.total_queries == comb(5, 2)
 
@@ -101,7 +102,7 @@ def test_robust_plan_majority_decoding_under_single_lies():
 
 
 def test_majority_decode_rejects_ties():
-    plan = QueryPlan(3, 2, ((0, 1, 2), (0, 2, 2)), "star")
+    plan = QueryPlan(3, 2, ((0, 1, 2), (0, 2, 2)))
     answers = [(0, 1, 1), (0, 1, -1), (0, 2, -1), (0, 2, -1)]
     with pytest.raises(InfeasibleAnswersError):
         majority_decode(plan, answers, 0)
@@ -167,16 +168,18 @@ def test_split_matching_deferred_element_cases():
 
 
 def test_decoders_reject_malformed_plans():
-    with pytest.raises(ValueError):
+    # Plans of any shape decode; these answers fit more than one candidate
+    # (the first two) or none (the last two).
+    with pytest.raises(AmbiguousAnswersError):
         decode_plan(
-            QueryPlan(4, 2, ((1, 2, 1), (1, 3, 1)), "star"),
+            QueryPlan(4, 2, ((1, 2, 1), (1, 3, 1))),
             [(1, 2, -1), (1, 3, -1)],
         )
-    with pytest.raises(ValueError):
-        decode_plan(QueryPlan(4, None, ((0, 1, 1),), "complete"), [(0, 1, 1)])
-    with pytest.raises(ValueError):
+    with pytest.raises(AmbiguousAnswersError):
+        decode_plan(QueryPlan(4, None, ((0, 1, 1),)), [(0, 1, 1)])
+    with pytest.raises(InfeasibleAnswersError):
         decode_plan(
-            QueryPlan(4, 3, ((0, 1, 1), (2, 3, 1)), "all_but_one"),
+            QueryPlan(4, 3, ((0, 1, 1), (2, 3, 1))),
             [(0, 1, 1), (2, 3, 1)],
         )
     bad_matching = tuple(
@@ -185,24 +188,72 @@ def test_decoders_reject_malformed_plans():
         for v in range(u + 1, 6)
         if (u, v) not in {(0, 1), (2, 5)}
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(InfeasibleAnswersError):
         decode_plan(
-            QueryPlan(6, 3, bad_matching, "split_matching"),
+            QueryPlan(6, 3, bad_matching),
             [(u, v, -1) for u, v, _ in bad_matching],
         )
 
 
 def test_query_plan_validation_and_json():
     with pytest.raises(ValueError):
-        QueryPlan(3, 2, ((0, 1, 1), (0, 1, 1)), "star")
+        QueryPlan(3, 2, ((0, 1, 1), (0, 1, 1)))
     with pytest.raises(ValueError):
-        QueryPlan(3, 2, ((1, 0, 1),), "star")
+        QueryPlan(3, 2, ((1, 0, 1),))
     with pytest.raises(ValueError):
-        QueryPlan(3, 2, ((0, 1, 0),), "star")
-    with pytest.raises(ValueError):
-        QueryPlan(3, 2, ((0, 1, 1),), "mystery")
+        QueryPlan(3, 2, ((0, 1, 0),))
     plan = robust_plan(build_plan(6, 3), 2)
     assert QueryPlan.from_json_dict(plan.to_json_dict()) == plan
+    # Plan files written with the former "decoder" key still load.
+    legacy = dict(plan.to_json_dict(), decoder="split_matching")
+    assert QueryPlan.from_json_dict(legacy) == plan
+    for malformed in ({"n": 4}, {"n": 4, "k_mode": 2, "queries": [1]}, [4], None):
+        with pytest.raises(ValueError):
+            QueryPlan.from_json_dict(malformed)
+
+
+def _reference_decode(plan, answers):
+    """Brute force: the one candidate that fits every answer, else the error class."""
+    if plan.k_mode is None:
+        candidates = enumerate_partitions(plan.n)
+    else:
+        candidates = enumerate_k_partitions(plan.n, plan.k_mode)
+    fits = [p for p in candidates if all(p.same_cluster(u, v) == s for u, v, s in answers)]
+    if not fits:
+        return InfeasibleAnswersError
+    if len(fits) > 1:
+        return AmbiguousAnswersError
+    return fits[0]
+
+
+def test_decode_matches_brute_force_on_arbitrary_plans():
+    rng = random.Random("arbitrary-plans")
+    outcomes = {}
+    for trial in range(1500):
+        n = rng.randint(2, 6)
+        density = rng.random()
+        chosen = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+        ]
+        k_mode = rng.choice([None, *range(1, n + 1)])
+        plan = QueryPlan(n, k_mode, tuple((u, v, 1) for u, v in chosen))
+        if trial % 2:
+            answers = [(u, v, rng.choice((1, -1))) for u, v in chosen]
+        elif k_mode is None:
+            answers = truthful_answers(plan, rng.choice(list(enumerate_partitions(n))))
+        else:
+            answers = truthful_answers(plan, random_k_partition(n, k_mode, rng))
+        want = _reference_decode(plan, answers)
+        if isinstance(want, Partition):
+            assert decode_plan(plan, answers) == want, (plan, answers)
+            outcomes["partition"] = outcomes.get("partition", 0) + 1
+        else:
+            with pytest.raises(want):
+                decode_plan(plan, answers)
+            outcomes[want.__name__] = outcomes.get(want.__name__, 0) + 1
+    # The draw reaches every outcome often enough to mean something.
+    assert set(outcomes) == {"partition", "InfeasibleAnswersError", "AmbiguousAnswersError"}
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_plan_decodable_respects_multiplicity():
