@@ -29,6 +29,7 @@ from functools import cache
 
 from .coloring import SimpleGraph, k_inseparable
 from .instance import SignedInstance
+from .limits import check_permutation_n
 from .partitions import Partition, k_partition_label_tuples
 
 Pair = tuple[int, int]
@@ -138,10 +139,6 @@ class GameState:
 
     def min_cost(self) -> int:
         return min(self._costs)
-
-    def _disagree_bit(self, u: int, v: int, answer: int, idx: int) -> bool:
-        joined = self._join[(min(u, v), max(u, v))] >> idx & 1
-        return bool(joined) != (answer == 1)
 
     def record(self, u: int, v: int, answer: int) -> None:
         """Record one answer, updating the instance and every cost."""
@@ -390,15 +387,17 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     """Value of the game under optimal play: the exact worst-case query count.
 
     Raises SearchBudgetExceededError when the memoized search would expand
-    more than node_budget positions.
+    more than node_budget positions, and ExhaustionLimitError, before any
+    table is built, when n is above the permutation cap.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if l < 0:
         raise ValueError(f"lie budget must be nonnegative, got {l}")
-    solver = _MinimaxSolver(n, k, l, node_budget)
-    if solver.size <= 1:
-        # A single candidate (k = n or k = 1) is already uniquely determined.
+    if k in (1, n):
+        # A single candidate is already uniquely determined.
         return GameValueResult(n, k, l, 0, 0)
+    check_permutation_n(n)  # the solver builds one relabel table per permutation
+    solver = _MinimaxSolver(n, k, l, node_budget)
     value = solver.solve()
     return GameValueResult(n, k, l, value, solver.nodes)

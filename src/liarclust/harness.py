@@ -28,7 +28,6 @@ from .learners.adaptive import (
     parallel_insertion_known_k,
     randomized_insertion,
     randomized_insertion_known_k,
-    robust_insertion,
     robust_insertion_known_k,
     robustify,
 )
@@ -64,13 +63,17 @@ class _CountingOracle:
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Registry entry: how to build one learner as a single-argument callable."""
+    """Registry entry: how to build one learner as a single-argument callable.
+
+    A robust entry is its plain insertion learner run through robustify with
+    the configured lie budget; see ExperimentConfig.repeats.
+    """
 
     id: str
     needs_k: bool
     robust: bool
     randomized: bool
-    build: object  # (n, k, l, seed) -> callable(oracle) -> Transcript
+    build: object  # (n, k, seed) -> callable(oracle) -> Transcript
 
 
 LEARNERS: dict[str, LearnerSpec] = {}
@@ -80,49 +83,27 @@ def _register(id, needs_k, robust, randomized, build):
     LEARNERS[id] = LearnerSpec(id, needs_k, robust, randomized, build)
 
 
+_register("insertion", False, False, False, lambda n, k, s: lambda o: insertion_cluster(n, o))
 _register(
-    "insertion", False, False, False, lambda n, k, l, s: lambda o: insertion_cluster(n, o)
+    "insertion_k", True, False, False, lambda n, k, s: lambda o: insertion_cluster_known_k(n, k, o)
 )
 _register(
-    "insertion_k",
-    True,
-    False,
-    False,
-    lambda n, k, l, s: lambda o: insertion_cluster_known_k(n, k, o),
-)
-_register(
-    "randomized",
-    False,
-    False,
-    True,
-    lambda n, k, l, s: lambda o: randomized_insertion(n, o, s),
+    "randomized", False, False, True, lambda n, k, s: lambda o: randomized_insertion(n, o, s)
 )
 _register(
     "randomized_k",
     True,
     False,
     True,
-    lambda n, k, l, s: lambda o: randomized_insertion_known_k(n, k, o, s),
+    lambda n, k, s: lambda o: randomized_insertion_known_k(n, k, o, s),
 )
+_register("robust", False, True, False, lambda n, k, s: lambda o: insertion_cluster(n, o))
 _register(
-    "robust", False, True, False, lambda n, k, l, s: lambda o: robust_insertion(n, l, o)
+    "robust_k", True, True, False, lambda n, k, s: lambda o: insertion_cluster_known_k(n, k, o)
 )
+_register("parallel", False, False, False, lambda n, k, s: lambda o: parallel_insertion(n, o))
 _register(
-    "robust_k",
-    True,
-    True,
-    False,
-    lambda n, k, l, s: lambda o: robust_insertion_known_k(n, k, l, o),
-)
-_register(
-    "parallel", False, False, False, lambda n, k, l, s: lambda o: parallel_insertion(n, o)
-)
-_register(
-    "parallel_k",
-    True,
-    False,
-    False,
-    lambda n, k, l, s: lambda o: parallel_insertion_known_k(n, k, o),
+    "parallel_k", True, False, False, lambda n, k, s: lambda o: parallel_insertion_known_k(n, k, o)
 )
 
 ORACLE_KINDS = ("truthful", "liar", "adversary")
@@ -183,9 +164,13 @@ class ExperimentConfig:
         return self.k
 
     @property
+    def repeats(self) -> bool:
+        """Whether the learner runs through robustify: a robust entry, or --robustify."""
+        return LEARNERS[self.learner].robust or self.robustified
+
+    @property
     def tolerance(self) -> int:
-        spec = LEARNERS[self.learner]
-        return self.l if (spec.robust or self.robustified) else 0
+        return self.l if self.repeats else 0
 
 
 def _fixed_partition(sizes) -> Partition:
@@ -246,10 +231,6 @@ class SimulationResult:
     rows: tuple[TrialRow, ...]
 
     @property
-    def mean_queries(self) -> float:
-        return statistics.fmean(r.queries for r in self.rows)
-
-    @property
     def correct_fraction(self) -> float:
         return sum(1 for r in self.rows if r.correct) / len(self.rows)
 
@@ -270,10 +251,9 @@ def _trial_oracle(config: ExperimentConfig, trial: int):
 
 def _trial_learner(config: ExperimentConfig, trial: int):
     spec = LEARNERS[config.learner]
-    tol = config.tolerance
-    learner = spec.build(config.n, config.effective_k, tol, f"{config.seed}/{trial}/order")
-    if config.robustified:
-        learner = robustify(learner, tol)
+    learner = spec.build(config.n, config.effective_k, f"{config.seed}/{trial}/order")
+    if config.repeats:
+        learner = robustify(learner, config.l)
     return learner
 
 
@@ -360,7 +340,7 @@ def exact_expected_queries(sizes, known_k: bool = False) -> Fraction:
     total = 0
     count = 0
     for order in _label_sequence_orders(sizes):
-        total += _insertion_sweep(n, TruthfulOracle(hidden), order, k, 0).queries
+        total += _insertion_sweep(n, TruthfulOracle(hidden), order, k).queries
         count += 1
     return Fraction(total, count)
 
@@ -388,7 +368,7 @@ def monte_carlo_expected(config: ExperimentConfig) -> ExpectationEstimate:
         if config.oracle != "truthful" or config.sizes is None:
             raise ValueError("exact expectation needs a truthful oracle and sizes")
         spec = LEARNERS[config.learner]
-        if not spec.randomized or spec.robust:
+        if not spec.randomized:
             raise ValueError("exact expectation is defined for randomized learners")
         value = exact_expected_queries(config.sizes, known_k=spec.needs_k)
         return ExpectationEstimate(

@@ -5,10 +5,11 @@ far, take the next unplaced element, and compare it against one
 representative per existing cluster until a comparison comes back positive.
 Variants differ in the order elements are processed, in whether the number
 of clusters is known in advance (which saves all comparisons against the
-final cluster), in whether each logical comparison is repeated until l+1
-equal answers accumulate (which makes the result immune to l lies), and in
-whether the comparisons of one element-versus-everyone step are issued as a
-single parallel round.
+final cluster), and in whether the comparisons of one element-versus-everyone
+step are issued as a single parallel round.  Lie tolerance is one layer on
+top of any of them: robustify repeats each comparison until l+1 equal
+answers accumulate, which makes the result immune to l lies, and the robust
+learners are insertion under that layer.
 """
 
 from __future__ import annotations
@@ -56,31 +57,13 @@ def _checked_answer(oracle, u: int, v: int) -> int:
     return s
 
 
-def _resolve_pair(oracle, u, v, l, records, round_start):
-    """Ask (u, v) until one sign has occurred l+1 times; return (sign, next round)."""
-    pos = neg = 0
-    r = round_start
-    while True:
-        s = _checked_answer(oracle, u, v)
-        records.append((u, v, s, r))
-        r += 1
-        if s == 1:
-            pos += 1
-            if pos == l + 1:
-                return 1, r
-        else:
-            neg += 1
-            if neg == l + 1:
-                return -1, r
-
-
-def _insertion_sweep(n, oracle, order, k, l) -> Transcript:
+def _insertion_sweep(n, oracle, order, k) -> Transcript:
     """Core insertion pass over the elements in the given order.
 
     k is None when the number of clusters is unknown.  When k is known and
     k clusters already exist, an element is compared against the first k-1
     representatives only: all-negative forces it into the last cluster.
-    Each logical comparison is resolved by l+1 matching answers.
+    Each query is its own round.
     """
     if n < 1:
         raise ValueError(f"need at least one element, got n={n}")
@@ -89,17 +72,16 @@ def _insertion_sweep(n, oracle, order, k, l) -> Transcript:
         raise ValueError("order must be a permutation of range(n)")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if l < 0:
-        raise ValueError(f"lie tolerance must be nonnegative, got {l}")
 
     clusters: list[list[int]] = []
     records: list[tuple[int, int, int, int]] = []
-    r = 0
     for v in order:
         limit = len(clusters) if k is None else min(len(clusters), k - 1)
         placed = False
         for idx in range(limit):
-            sign, r = _resolve_pair(oracle, v, clusters[idx][0], l, records, r)
+            u = clusters[idx][0]
+            sign = _checked_answer(oracle, v, u)
+            records.append((v, u, sign, len(records)))
             if sign == 1:
                 clusters[idx].append(v)
                 placed = True
@@ -110,39 +92,39 @@ def _insertion_sweep(n, oracle, order, k, l) -> Transcript:
             else:
                 clusters.append([v])
     result = Partition(n, tuple(tuple(c) for c in clusters))
-    return Transcript(tuple(records), result, r)
+    return Transcript(tuple(records), result, len(records))
 
 
 def insertion_cluster(n, oracle) -> Transcript:
     """Place elements 0..n-1 in ascending order, opening clusters as needed."""
-    return _insertion_sweep(n, oracle, range(n), None, 0)
+    return _insertion_sweep(n, oracle, range(n), None)
 
 
 def insertion_cluster_known_k(n, k, oracle) -> Transcript:
     """Insertion with the cluster count known: skips the last cluster's checks."""
-    return _insertion_sweep(n, oracle, range(n), k, 0)
+    return _insertion_sweep(n, oracle, range(n), k)
 
 
 def randomized_insertion(n, oracle, seed) -> Transcript:
     """Insertion over a uniformly random element order drawn from seed."""
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    return _insertion_sweep(n, oracle, order, None, 0)
+    return _insertion_sweep(n, oracle, order, None)
 
 
 def randomized_insertion_known_k(n, k, oracle, seed) -> Transcript:
     order = list(range(n))
     random.Random(seed).shuffle(order)
-    return _insertion_sweep(n, oracle, order, k, 0)
+    return _insertion_sweep(n, oracle, order, k)
 
 
 def robust_insertion(n, l, oracle) -> Transcript:
-    """Insertion where every comparison repeats until l+1 equal answers."""
-    return _insertion_sweep(n, oracle, range(n), None, l)
+    """Insertion under robustify: every comparison repeats until l+1 equal answers."""
+    return robustify(lambda o: insertion_cluster(n, o), l)(oracle)
 
 
 def robust_insertion_known_k(n, k, l, oracle) -> Transcript:
-    return _insertion_sweep(n, oracle, range(n), k, l)
+    return robustify(lambda o: insertion_cluster_known_k(n, k, o), l)(oracle)
 
 
 def _parallel_sweep(n, oracle, max_rounds) -> Transcript:

@@ -88,17 +88,21 @@ class QueryPlan:
         """Load a plan; a "decoder" key written by older versions is ignored."""
         if not isinstance(data, dict):
             raise ValueError("a plan must be a JSON object")
-        try:
-            k_mode = data["k_mode"]
-            return cls(
-                int(data["n"]),
-                None if k_mode is None else int(k_mode),
-                tuple(tuple(int(x) for x in q) for q in data["queries"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"plan has no {exc.args[0]!r} key") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed plan: {exc}") from None
+        for key in ("n", "k_mode", "queries"):
+            if key not in data:
+                raise ValueError(f"plan has no {key!r} key")
+        n, k_mode, queries = data["n"], data["k_mode"], data["queries"]
+        if not _is_int(n) or not (k_mode is None or _is_int(k_mode)):
+            raise ValueError("plan n and k_mode must be JSON integers (k_mode may be null)")
+        if not isinstance(queries, list) or not all(
+            isinstance(q, list) and len(q) == 3 and all(_is_int(x) for x in q) for q in queries
+        ):
+            raise ValueError("plan queries must be a list of [u, v, m] integer triples")
+        return cls(n, k_mode, tuple(tuple(q) for q in queries))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _all_pairs(n: int) -> list[Pair]:

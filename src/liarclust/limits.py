@@ -1,13 +1,14 @@
 """Desk-scale guard rails.
 
 Every exhaustive routine in this package (partition enumeration, minimum
-disagreement clustering, exact expectations over element orders) is meant
-for instances small enough to check by complete enumeration.  The
-expectation cap bounds n, the number of elements; the work below it is one
-insertion sweep per distinct cluster-label sequence, at most n! of them.
-The caps below stop an accidental n=40 from hanging a terminal; they can be
-raised per process through environment variables when a bigger desk is
-genuinely wanted.
+disagreement clustering, exact expectations over element orders, the
+minimax solver's relabel tables) is meant for instances small enough to
+check by complete enumeration.  The permutation cap bounds n, the number of
+elements, for every enumeration of up to n! items: one insertion sweep per
+distinct cluster-label sequence, or one relabel table per permutation of the
+elements.  The caps below stop an accidental n=40 from hanging a terminal;
+they can be raised per process through environment variables when a bigger
+desk is genuinely wanted.
 """
 
 from __future__ import annotations
@@ -44,10 +45,11 @@ def max_enumeration_n() -> int:
 
 
 def max_permutation_n() -> int:
-    """Largest n for which an exact expectation over element orders is allowed.
+    """Largest n for which an enumeration of up to n! items is allowed.
 
-    The average runs over every distinct cluster-label sequence of the n
-    elements, at most n! of them (all singleton clusters).
+    It bounds exact expectations, which run over every distinct
+    cluster-label sequence of the n elements (at most n!), and the minimax
+    solver, which builds one relabel table per permutation of the elements.
     """
     return _read_limit(PERM_LIMIT_ENV, DEFAULT_MAX_PERM_N)
 
@@ -65,7 +67,7 @@ def check_permutation_n(n: int) -> None:
     cap = max_permutation_n()
     if n > cap:
         raise ExhaustionLimitError(
-            f"exact expectation over element orders requested for n={n}, "
+            f"enumeration over the n! orders of n={n} elements requested, "
             f"above the cap {cap} "
             f"(set {PERM_LIMIT_ENV} to raise it)"
         )

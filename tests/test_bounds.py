@@ -104,7 +104,7 @@ def test_expected_queries_matches_exhaustive_average():
         total = 0
         count = 0
         for order in permutations(range(n)):
-            t = _insertion_sweep(n, TruthfulOracle(hidden), order, None, 0)
+            t = _insertion_sweep(n, TruthfulOracle(hidden), order, None)
             total += t.queries
             count += 1
         assert Fraction(total, count) == expected_queries(sizes), sizes

@@ -147,6 +147,17 @@ def test_game_value_budget_failure(capsys):
     assert "search gave up" in err
 
 
+def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
+    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "LIARCLUST_MAX_PERM_N" in err
+    code, out, _ = run_cli(capsys, "game-value", "-n", "4", "-k", "4")
+    assert code == 0
+    assert json.loads(out)["value"] == 0
+
+
 def test_expected_exact(capsys):
     code, out, _ = run_cli(capsys, "expected", "--sizes", "3,2", "--exact")
     assert code == 0
@@ -186,14 +197,24 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_malformed_files_exit_two(capsys, tmp_path):
-    plan_file = tmp_path / "plan.json"
-    plan_file.write_text(json.dumps({"n": 4}))
+    pairs = [[0, 1, 1], [0, 2, 1], [0, 3, 1]]
+    bad_plans = [
+        {"n": 4},
+        # Non-integer fields are refused, not truncated or coerced.
+        {"n": 4.5, "k_mode": 2, "queries": pairs},
+        {"n": True, "k_mode": None, "queries": pairs},
+        {"n": 4, "k_mode": 2.0, "queries": pairs},
+        {"n": 4, "k_mode": 2, "queries": [[0, 1, 1], [0, 2, 1.5], [0, 3, 1]]},
+    ]
+    argvs = []
+    for i, data in enumerate(bad_plans):
+        plan_file = tmp_path / f"plan-{i}.json"
+        plan_file.write_text(json.dumps(data))
+        argvs.append(["check-plan", "--plan-file", str(plan_file)])
     answers_file = tmp_path / "answers.json"
     answers_file.write_text(json.dumps([1, 2]))
-    for argv in (
-        ["check-plan", "--plan-file", str(plan_file)],
-        ["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)],
-    ):
+    argvs.append(["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)])
+    for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from liarclust import game
 from liarclust.game import (
     GameState,
     GameValueResult,
@@ -14,6 +15,7 @@ from liarclust.game import (
     responder_answer,
 )
 from liarclust.instance import SignedInstance
+from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import Partition, enumerate_k_partitions
 
 
@@ -222,6 +224,19 @@ def test_exact_game_value_validates_input():
         exact_game_value(3, 0, 0)
     with pytest.raises(ValueError):
         exact_game_value(3, 2, -1)
+
+
+def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatch):
+    def no_tables(n, k):
+        raise AssertionError(f"relabel tables built for n={n}, k={k}")
+
+    monkeypatch.setattr(game, "_relabel_tables", no_tables)
+    # Single-candidate cells return before the solver, whatever n is.
+    assert exact_game_value(12, 12, 1) == GameValueResult(12, 12, 1, 0, 0)
+    assert exact_game_value(12, 1, 0) == GameValueResult(12, 1, 0, 0, 0)
+    monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
+    with pytest.raises(ExhaustionLimitError):
+        exact_game_value(4, 2, 0)
 
 
 def test_search_budget_is_enforced():

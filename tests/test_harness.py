@@ -155,7 +155,7 @@ def test_exact_expected_queries_matches_all_orders():
             total = 0
             count = 0
             for order in permutations(range(n)):
-                total += _insertion_sweep(n, TruthfulOracle(hidden), order, k, 0).queries
+                total += _insertion_sweep(n, TruthfulOracle(hidden), order, k).queries
                 count += 1
             assert exact_expected_queries(sizes, known_k) == Fraction(total, count), (
                 sizes,

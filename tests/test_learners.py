@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
@@ -20,7 +21,7 @@ from liarclust.learners.adaptive import (
     robustify,
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
-from liarclust.partitions import Partition, enumerate_partitions
+from liarclust.partitions import Partition, enumerate_partitions, random_k_partition
 
 
 class FlipOnce:
@@ -125,15 +126,45 @@ def test_robust_recovery_under_eager_liar():
     assert oracle.lies_used == 2
 
 
+def _inline_robust_insertion(n, k, l, oracle):
+    """Insertion that resolves each comparison in place by l+1 equal answers.
+
+    An independent reference for robustify over insertion: one record and one
+    round per physical query.
+    """
+    clusters: list[list[int]] = []
+    records = []
+    for v in range(n):
+        limit = len(clusters) if k is None else min(len(clusters), k - 1)
+        for cluster in clusters[:limit]:
+            counts = {1: 0, -1: 0}
+            while max(counts.values()) <= l:
+                s = oracle.answer(v, cluster[0])
+                records.append((v, cluster[0], s, len(records)))
+                counts[s] += 1
+            if counts[1] > l:
+                cluster.append(v)
+                break
+        else:
+            if k is not None and len(clusters) == k:
+                clusters[-1].append(v)
+            else:
+                clusters.append([v])
+    return tuple(records), len(records), Partition(n, tuple(tuple(c) for c in clusters))
+
+
 def test_robustify_matches_direct_robust_learner():
-    hidden = Partition(5, ((0, 3), (1, 2), (4,)))
-    for l in range(3):
-        direct = robust_insertion(5, l, RandomLiarOracle(hidden, l, 0.5, seed=9))
-        wrapped = robustify(lambda o: insertion_cluster(5, o), l)(
-            RandomLiarOracle(hidden, l, 0.5, seed=9)
-        )
-        assert direct.records == wrapped.records
-        assert direct.result == wrapped.result
+    for seed in range(6):
+        hidden = random_k_partition(7, 3, random.Random(f"hidden/{seed}"))
+        for l in range(3):
+            for k in (None, 3):
+                liar = lambda: RandomLiarOracle(hidden, l, 0.5, seed=f"liar/{seed}/{l}")
+                if k is None:
+                    t = robust_insertion(7, l, liar())
+                else:
+                    t = robust_insertion_known_k(7, k, l, liar())
+                direct = _inline_robust_insertion(7, k, l, liar())
+                assert (t.records, t.rounds, t.result) == direct, (seed, l, k)
 
 
 def test_robustify_protects_parallel_learner():
@@ -193,7 +224,7 @@ def test_learner_input_validation():
     with pytest.raises(ValueError):
         robustify(lambda o: insertion_cluster(3, o), -1)
     with pytest.raises(ValueError):
-        _insertion_sweep(3, oracle, [0, 1], None, 0)
+        _insertion_sweep(3, oracle, [0, 1], None)
 
 
 def test_bad_oracle_answers_are_rejected():

@@ -119,19 +119,19 @@ def test_decode_rejects_undecodable_input_shapes():
         decode_plan(robust_plan(plan, 1), truthful_answers(robust_plan(plan, 1), Partition(4, ((0, 1), (2, 3)))))
 
 
-def test_star_decoder_infeasibility():
+def test_star_plan_rejects_infeasible_answers():
     plan = build_plan(3, 2)
     with pytest.raises(InfeasibleAnswersError):
         decode_plan(plan, [(0, 1, 1), (0, 2, 1)])  # would leave one cluster
 
 
-def test_complete_decoder_infeasibility():
+def test_complete_plan_rejects_infeasible_answers():
     plan = build_plan(3)
     with pytest.raises(InfeasibleAnswersError):
         decode_plan(plan, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
 
 
-def test_all_but_one_decoder_infeasibility():
+def test_all_but_one_plan_rejects_infeasible_answers():
     # Denying everything on six elements shows four groups among the first
     # four, and the silent pair (4, 5) can contribute only one more: five
     # clusters total, against a promise of four.
@@ -146,15 +146,15 @@ def test_all_but_one_decoder_infeasibility():
         decode_plan(plan, broken)
 
 
-def test_split_matching_decoder_infeasibility():
+def test_split_matching_plan_rejects_infeasible_answers():
     plan = build_plan(6, 3)
     with pytest.raises(InfeasibleAnswersError):
         decode_plan(plan, [(u, v, 1) for u, v in plan.pairs()])  # one big cluster
 
 
-def test_split_matching_deferred_element_cases():
-    # Hidden partitions whose deferred element exercises the late resolution:
-    # the unqueried partner of one element is a singleton group on its side.
+def test_split_matching_plan_resolves_silent_pairs():
+    # Hidden partitions in which the silent partner of one element is a
+    # singleton group on its side, so only the other answers place it.
     cases = [
         Partition(5, ((0, 3), (1, 4), (2,))),
         Partition(5, ((0, 1, 2), (3,), (4,))),
@@ -167,7 +167,7 @@ def test_split_matching_deferred_element_cases():
         assert decode_plan(plan, truthful_answers(plan, hidden)) == hidden
 
 
-def test_decoders_reject_malformed_plans():
+def test_irregular_plans_report_ambiguous_or_infeasible_answers():
     # Plans of any shape decode; these answers fit more than one candidate
     # (the first two) or none (the last two).
     with pytest.raises(AmbiguousAnswersError):
@@ -207,9 +207,31 @@ def test_query_plan_validation_and_json():
     # Plan files written with the former "decoder" key still load.
     legacy = dict(plan.to_json_dict(), decoder="split_matching")
     assert QueryPlan.from_json_dict(legacy) == plan
-    for malformed in ({"n": 4}, {"n": 4, "k_mode": 2, "queries": [1]}, [4], None):
+    pairs = [[0, 1, 1], [0, 2, 1], [0, 3, 1]]
+    malformed = [
+        {"n": 4},
+        {"n": 4, "k_mode": 2, "queries": [1]},
+        [4],
+        None,
+        # Only JSON integers are read, so nothing is truncated or coerced.
+        {"n": 4.5, "k_mode": 2, "queries": pairs},
+        {"n": 4.0, "k_mode": 2, "queries": pairs},
+        {"n": True, "k_mode": None, "queries": []},
+        {"n": "4", "k_mode": 2, "queries": pairs},
+        {"n": 4, "k_mode": 2.0, "queries": pairs},
+        {"n": 4, "k_mode": True, "queries": pairs},
+        {"n": 4, "k_mode": 2, "queries": [[0, 1, 1], [0, 2.5, 1], [0, 3, 1]]},
+        {"n": 4, "k_mode": 2, "queries": [[0, 1, 1], [0, 2, True], [0, 3, 1]]},
+        {"n": 4, "k_mode": 2, "queries": [[0, 1, 1], [0, 2], [0, 3, 1]]},
+        {"n": 4, "k_mode": 2, "queries": [[0, 1, 1], ["0", 2, 1], [0, 3, 1]]},
+        {"n": 4, "k_mode": 2, "queries": {"0": [0, 1, 1]}},
+    ]
+    for data in malformed:
         with pytest.raises(ValueError):
-            QueryPlan.from_json_dict(malformed)
+            QueryPlan.from_json_dict(data)
+    assert QueryPlan.from_json_dict({"n": 4, "k_mode": 2, "queries": pairs}) == QueryPlan(
+        4, 2, ((0, 1, 1), (0, 2, 1), (0, 3, 1))
+    )
 
 
 def _reference_decode(plan, answers):
