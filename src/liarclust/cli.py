@@ -28,6 +28,7 @@ from .harness import (
 from .learners.plans import (
     DecodeError,
     QueryPlan,
+    _is_int,
     build_plan,
     decode_plan,
     majority_decode,
@@ -121,7 +122,7 @@ def cmd_decode(args) -> int:
     with open(args.answers_file, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or not all(
-        isinstance(a, list) and len(a) == 3 and all(isinstance(x, int) for x in a) for a in raw
+        isinstance(a, list) and len(a) == 3 and all(_is_int(x) for x in a) for a in raw
     ):
         raise ValueError("answers must be a JSON list of [u, v, sign] integer triples")
     answers = [tuple(a) for a in raw]

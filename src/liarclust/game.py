@@ -16,21 +16,27 @@ queries played is exactly the cost of learning it.  This module provides
   * exact_game_value: the game-theoretic value under optimal play on both
     sides, by memoized alpha-beta search over capped cost vectors.
 
-The search identifies positions up to relabeling of the ground set, and
-caps every recorded cost at l+1: a partition past the lie budget is out of
-the game no matter how much further weight it collects.
+The search caps every recorded cost at l+1: a partition past the lie budget
+is out of the game no matter how much further weight it collects.  A
+position is a bytes object with one capped cost per candidate, so l is at
+most 254, and a child position is built by C-level maps over it.  Positions
+are identified up to relabeling of the ground set: the key is the least
+image of the position under one operator.itemgetter per relabel table,
+memoized per raw position for the life of one search.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import cache
+from operator import add, itemgetter
 
 from .coloring import SimpleGraph, k_inseparable
 from .instance import SignedInstance
 from .limits import check_permutation_n
-from .partitions import Partition, k_partition_label_tuples
+from .partitions import Partition, k_partition_label_tuples, stirling2
 
 Pair = tuple[int, int]
 
@@ -38,15 +44,13 @@ _INF = 1 << 30
 
 
 class SearchBudgetExceededError(RuntimeError):
-    """The minimax search ran out of its node budget before finishing."""
+    """The minimax search gave up: it ran out of nodes or of depth."""
 
-    def __init__(self, nodes: int, best_known: int | None) -> None:
+    def __init__(self, nodes: int, detail: str | None = None) -> None:
         self.nodes = nodes
-        self.best_known = best_known
-        detail = f"game-value search exceeded its node budget after {nodes} nodes"
-        if best_known is not None:
-            detail += f"; partial lower bound on the value: {best_known}"
-        super().__init__(detail)
+        super().__init__(
+            detail or f"game-value search exceeded its node budget after {nodes} nodes"
+        )
 
 
 @cache
@@ -271,41 +275,45 @@ class _MinimaxSolver:
     def __init__(self, n: int, k: int, l: int, node_budget: int) -> None:
         self.l = l
         self.cap = l + 1
-        self.labels = k_partition_label_tuples(n, k)
-        self.size = len(self.labels)
+        self.size = stirling2(n, k)
         self.join = [_join_masks(n, k)[p] for p in _pair_list(n)]
-        self.tables = _relabel_tables(n, k)
+        # Per pair, which costs go up: on a join answer the candidates that
+        # separate the pair, on a split answer those that join it.
+        self.bumps = [
+            (
+                bytes(0 if jm >> i & 1 else 1 for i in range(self.size)),
+                bytes(jm >> i & 1 for i in range(self.size)),
+            )
+            for jm in self.join
+        ]
+        self.clamp = tuple(range(self.cap + 1)) + (self.cap,)  # min(c, cap), c <= cap + 1
+        self.getters = [itemgetter(*t) for t in _relabel_tables(n, k)]
         self.node_budget = node_budget
         self.nodes = 0
-        self.tt: dict[tuple[int, ...], tuple[int, int]] = {}
+        self.keys: dict[bytes, bytes] = {}
+        self.tt: dict[bytes, tuple[int, int]] = {}
 
-    def _canon(self, s: tuple[int, ...]) -> tuple[int, ...]:
-        return min(tuple(s[i] for i in t) for t in self.tables)
+    def _canon(self, s: bytes) -> bytes:
+        key = self.keys.get(s)
+        if key is None:
+            key = self.keys[s] = bytes(min([g(s) for g in self.getters]))
+        return key
 
-    def _children(self, s: tuple[int, ...], pi: int) -> list[tuple[int, tuple[int, ...]]]:
+    def _children(self, s: bytes, pi: int) -> list[tuple[int, bytes]]:
         """Legal (survivor count, child state) for both answers to pair pi."""
-        jm = self.join[pi]
-        cap = self.cap
-        l = self.l
+        clamp = self.clamp.__getitem__
         out = []
-        for answer_joins in (True, False):
-            child = list(s)
-            live_after = 0
-            for i, c in enumerate(child):
-                if bool(jm >> i & 1) != answer_joins:
-                    c = min(c + 1, cap)
-                    child[i] = c
-                if c <= l:
-                    live_after += 1
+        for bump in self.bumps[pi]:
+            child = bytes(map(clamp, map(add, s, bump)))
+            live_after = self.size - child.count(self.cap)
             if live_after:
-                out.append((live_after, tuple(child)))
+                out.append((live_after, child))
         return out
 
     def solve(self) -> int:
-        s0 = tuple([0] * self.size)
-        return self._fq(s0, 0, _INF)
+        return self._fq(bytes(self.size), 0, _INF)
 
-    def _fq(self, s: tuple[int, ...], alpha: int, beta: int) -> int:
+    def _fq(self, s: bytes, alpha: int, beta: int) -> int:
         l = self.l
         live_mask = 0
         live = 0
@@ -334,7 +342,7 @@ class _MinimaxSolver:
 
         self.nodes += 1
         if self.nodes > self.node_budget:
-            raise SearchBudgetExceededError(self.nodes, None)
+            raise SearchBudgetExceededError(self.nodes)
 
         a0, b0 = alpha, beta
         moves = []
@@ -367,7 +375,7 @@ class _MinimaxSolver:
         self.tt[key] = (flag, value)
         return value
 
-    def _fr(self, s: tuple[int, ...], pi: int, alpha: int, beta: int) -> int:
+    def _fr(self, s: bytes, pi: int, alpha: int, beta: int) -> int:
         children = self._children(s, pi)
         # Try the answer keeping more candidates alive first.
         children.sort(key=lambda t: -t[0])
@@ -387,8 +395,10 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     """Value of the game under optimal play: the exact worst-case query count.
 
     Raises SearchBudgetExceededError when the memoized search would expand
-    more than node_budget positions, and ExhaustionLimitError, before any
-    table is built, when n is above the permutation cap.
+    more than node_budget positions or recurse past the interpreter's
+    recursion limit, and, before any table is built, when l + 1 exceeds the
+    byte that holds a capped cost; raises ExhaustionLimitError, also before
+    any table, when n is above the permutation cap.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
@@ -397,7 +407,22 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     if k in (1, n):
         # A single candidate is already uniquely determined.
         return GameValueResult(n, k, l, 0, 0)
+    if l + 1 > 255:
+        # Any two candidates must be told apart by 2l+1 answers, so the
+        # search is at least that many queries deep.
+        raise SearchBudgetExceededError(
+            0,
+            f"game-value search would be at least {2 * l + 1} queries deep, and its "
+            f"capped costs up to l + 1 = {l + 1} do not fit in a byte (l <= 254)",
+        )
     check_permutation_n(n)  # the solver builds one relabel table per permutation
     solver = _MinimaxSolver(n, k, l, node_budget)
-    value = solver.solve()
+    try:
+        value = solver.solve()
+    except RecursionError:
+        raise SearchBudgetExceededError(
+            solver.nodes,
+            f"game-value search went deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} frames (two per query) after {solver.nodes} nodes",
+        ) from None
     return GameValueResult(n, k, l, value, solver.nodes)

@@ -175,7 +175,15 @@ def test_03_plans_of_minimal_size():
 
 def test_04_game_value_between_the_bounds():
     failures: list[str] = []
-    anchors = {(3, 2, 0): 2, (4, 2, 0): 3}
+    # Exact values per (n, k): one entry for each l = 0, 1, 2.
+    exact = {
+        (3, 2): (2, 5, 8),
+        (4, 2): (3, 6, 9),
+        (4, 3): (5, 11, 17),
+        (5, 2): (4, 7, 10),
+        (5, 3): (7, 12, 18),
+        (5, 4): (9, 19, 29),
+    }
     cells = 0
     most_nodes = 0
     for n in range(3, 6):
@@ -194,11 +202,12 @@ def test_04_game_value_between_the_bounds():
                     failures.append(
                         f"n={n} k={k} l={l}: value {result.value} outside [{lo}, {hi}]"
                     )
-                want = anchors.get((n, k, l))
-                if want is not None and result.value != want:
+                want = exact[(n, k)][l]
+                if result.value != want:
                     failures.append(f"n={n} k={k} l={l}: value {result.value}, wanted {want}")
     _report(4, "game value sandwich", failures,
-            f"{cells} cells with n <= 5, l <= 2; largest search {most_nodes} nodes")
+            f"{cells} cells with n <= 5, l <= 2, each at its exact value; "
+            f"largest search {most_nodes} nodes")
 
 
 def test_05_adversary_pushes_robust_insertion_to_the_floor():

@@ -147,6 +147,17 @@ def test_game_value_budget_failure(capsys):
     assert "search gave up" in err
 
 
+def test_game_value_too_deep_gives_up_on_one_line(capsys):
+    # l + 1 = 301 does not fit the solver's byte costs, and l = 250 recurses
+    # past the interpreter's limit; both end in the one budget-failure line.
+    for lies in ("300", "250"):
+        code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", lies)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("search gave up:") and err.count("\n") == 1, err
+        assert "deep" in err
+
+
 def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
     code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2")
@@ -211,9 +222,11 @@ def test_malformed_files_exit_two(capsys, tmp_path):
         plan_file = tmp_path / f"plan-{i}.json"
         plan_file.write_text(json.dumps(data))
         argvs.append(["check-plan", "--plan-file", str(plan_file)])
-    answers_file = tmp_path / "answers.json"
-    answers_file.write_text(json.dumps([1, 2]))
-    argvs.append(["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)])
+    # Answer files must hold [u, v, sign] triples of JSON integers, not booleans.
+    for i, answers in enumerate([[1, 2], [[0, 1, True], [0, 2, -1], [0, 3, -1]]]):
+        answers_file = tmp_path / f"answers-{i}.json"
+        answers_file.write_text(json.dumps(answers))
+        argvs.append(["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)])
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from liarclust import game
@@ -10,6 +12,7 @@ from liarclust.game import (
     GameValueResult,
     ResponderState,
     SearchBudgetExceededError,
+    _MinimaxSolver,
     _relabel_tables,
     exact_game_value,
     responder_answer,
@@ -237,6 +240,55 @@ def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatc
     monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
     with pytest.raises(ExhaustionLimitError):
         exact_game_value(4, 2, 0)
+
+
+def test_exact_game_value_pins_values_and_node_counts():
+    # (value, nodes) per cell; a change to the search order or the
+    # transposition table shows up here as a different node count.
+    pinned = {
+        (3, 2, 0): (2, 2),
+        (3, 2, 1): (5, 9),
+        (4, 2, 0): (3, 5),
+        (4, 2, 1): (6, 59),
+        (4, 3, 0): (5, 9),
+        (4, 3, 1): (11, 142),
+        (5, 2, 0): (4, 11),
+        (5, 2, 1): (7, 263),
+        (5, 3, 0): (7, 33),
+        (5, 3, 1): (12, 3418),
+        (5, 4, 0): (9, 32),
+        (5, 4, 1): (19, 1914),
+    }
+    for (n, k, l), (value, nodes) in pinned.items():
+        got = exact_game_value(n, k, l)
+        assert (got.value, got.nodes) == (value, nodes), (n, k, l, got)
+
+
+def test_solver_canonical_key_is_the_least_relabeling():
+    rng = random.Random(20231)
+    for n, k in [(4, 2), (5, 3)]:
+        tables = _relabel_tables(n, k)
+        for l in range(3):
+            solver = _MinimaxSolver(n, k, l, node_budget=1)
+            for _ in range(40):
+                s = bytes(rng.randint(0, l + 1) for _ in range(len(tables[0])))
+                want = min(tuple(s[i] for i in t) for t in tables)
+                assert tuple(solver._canon(s)) == want, (n, k, l, s)
+                assert tuple(solver._canon(s)) == want  # memoized key
+
+
+def test_too_deep_searches_give_up_with_the_budget_error(monkeypatch):
+    with pytest.raises(SearchBudgetExceededError, match="recursion limit"):
+        exact_game_value(3, 2, 250)
+
+    def no_tables(n, k):
+        raise AssertionError(f"relabel tables built for n={n}, k={k}")
+
+    monkeypatch.setattr(game, "_relabel_tables", no_tables)
+    # Costs up to l + 1 = 256 do not fit the solver's bytes.
+    with pytest.raises(SearchBudgetExceededError, match="at least 511 queries deep") as info:
+        exact_game_value(3, 2, 255)
+    assert info.value.nodes == 0
 
 
 def test_search_budget_is_enforced():
