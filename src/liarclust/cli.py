@@ -5,7 +5,7 @@ Subcommands mirror the library surface: simulate (trial CSVs), bounds
 game-value (exact minimax), expected (expectation estimates), and audit
 (recompute the summary tables).  All output is deterministic for a fixed
 seed.  Exit status 0 on success, 1 when a check or decode fails, 2 on bad
-usage.
+usage, 3 when game-value gives up its search.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import sys
 
 from .bounds import build_bounds_report
-from .game import SearchBudgetExceededError, exact_game_value
+from .game import MAX_SOLVER_LIES, SearchBudgetExceededError, exact_game_value
 from .harness import (
     LEARNERS,
     ORACLE_KINDS,
@@ -144,8 +144,10 @@ def cmd_game_value(args) -> int:
     try:
         result = exact_game_value(args.n, args.k, args.lies, node_budget=args.budget)
     except SearchBudgetExceededError as exc:
+        if args.lies > MAX_SOLVER_LIES:
+            raise ValueError(str(exc)) from None  # an l the solver cannot represent
         print(f"search gave up: {exc}", file=sys.stderr)
-        return 1
+        return 3
     _emit(result.to_json_dict())
     return 0
 

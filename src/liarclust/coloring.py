@@ -1,8 +1,10 @@
 """Surjective graph colorings, uniqueness, and pair inseparability.
 
-The adversarial responder reasons about its negative answers as a graph: a
-partition is a zero-cost explanation exactly when it is a proper coloring of
-that graph using every one of the k colors.  The backtracker below assigns
+Negative answers form a graph: a partition is a zero-cost explanation of
+them exactly when it is a proper coloring of that graph using every one of
+the k colors.  The plan decoder reads its result off these colorings; the
+adversarial responder's base answer is pair inseparability in this graph,
+which the game reads off its zero-cost level instead.  The backtracker assigns
 colors in first-use order, so each color-class partition is produced once,
 and searches stop as soon as enough colorings are found (one for existence,
 two for uniqueness).

@@ -7,8 +7,9 @@ l.  The game ends when exactly one such partition remains: at that point
 the answers determine the partition even against l lies, so the number of
 queries played is exactly the cost of learning it.  This module provides
 
-  * GameState: the running record of one game, with incremental
-    disagreement costs against every candidate k-partition;
+  * GameState: the running record of one game, with one bitmask over the
+    candidate k-partitions per disagreement cost up to l, so recording an
+    answer and counting candidates are a few big-integer operations;
   * responder_answer: the concrete adversary used by the oracle layer,
     which answers "different" whenever some zero-cost explanation still
     allows it and, when cornered, commits to an expensive alternative
@@ -19,10 +20,10 @@ queries played is exactly the cost of learning it.  This module provides
 The search caps every recorded cost at l+1: a partition past the lie budget
 is out of the game no matter how much further weight it collects.  A
 position is a bytes object with one capped cost per candidate, so l is at
-most 254, and a child position is built by C-level maps over it.  Positions
-are identified up to relabeling of the ground set: the key is the least
-image of the position under one operator.itemgetter per relabel table,
-memoized per raw position for the life of one search.
+most MAX_SOLVER_LIES, and a child position is built by C-level maps over
+it.  Positions are identified up to relabeling of the ground set: the key is
+the least image of the position under one operator.itemgetter per relabel
+table, memoized per raw position for the life of one search.
 """
 
 from __future__ import annotations
@@ -30,17 +31,18 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from functools import cache
-from operator import add, itemgetter
+from functools import cache, reduce
+from operator import add, and_, getitem, itemgetter, or_
 
-from .coloring import SimpleGraph, k_inseparable
-from .instance import SignedInstance
 from .limits import check_permutation_n
 from .partitions import Partition, k_partition_label_tuples, stirling2
 
 Pair = tuple[int, int]
 
 _INF = 1 << 30
+
+# The solver stores each capped cost, up to l + 1, in one byte.
+MAX_SOLVER_LIES = 254
 
 
 class SearchBudgetExceededError(RuntimeError):
@@ -59,17 +61,23 @@ def _pair_list(n: int) -> tuple[Pair, ...]:
 
 
 @cache
+def _label_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per element x and label c: bitmask over k-partition indices with label c at x.
+
+    Each mask is read off one label column as a string of binary digits,
+    reversed so that the first k-partition is the lowest bit.
+    """
+    digits = [bytes.maketrans(bytes(range(k)), bytes(49 if d == c else 48 for d in range(k)))
+              for c in range(k)]
+    columns = [bytes(col)[::-1] for col in zip(*k_partition_label_tuples(n, k))]
+    return tuple(tuple(int(col.translate(t), 2) for t in digits) for col in columns)
+
+
+@cache
 def _join_masks(n: int, k: int) -> dict[Pair, int]:
     """Per pair: bitmask over k-partition indices that put the pair together."""
-    labels = k_partition_label_tuples(n, k)
-    masks: dict[Pair, int] = {}
-    for u, v in _pair_list(n):
-        m = 0
-        for i, lab in enumerate(labels):
-            if lab[u] == lab[v]:
-                m |= 1 << i
-        masks[(u, v)] = m
-    return masks
+    masks = _label_masks(n, k)
+    return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 
 def _first_use_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -109,10 +117,13 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 class GameState:
-    """One running game: parameters, the signed instance, and the history.
+    """One running game: parameters, the answer history and the cost levels.
 
-    Disagreement costs against every k-partition are maintained
-    incrementally so terminality checks and lookaheads cost one scan.
+    Bit i of a mask stands for the i-th k-partition in canonical order, and
+    level j <= l is the mask of the candidates that violate exactly j
+    recorded answers.  Recording an answer moves the candidates it costs up
+    one level; a candidate past l is in no level, and its exact cost is
+    rebuilt from the history when asked for.
     """
 
     def __init__(self, n: int, k: int, l: int) -> None:
@@ -123,78 +134,79 @@ class GameState:
         self.n = n
         self.k = k
         self.l = l
-        self.instance = SignedInstance(n)
         self.history: list[tuple[int, int, int]] = []
         self._labels = k_partition_label_tuples(n, k)
-        self._index_of = {lab: i for i, lab in enumerate(self._labels)}
         self._join = _join_masks(n, k)
-        self._costs = [0] * len(self._labels)
+        self._all = (1 << len(self._labels)) - 1
+        self._lv = [self._all] + [0] * l
+
+    def _cost_from_history(self, labels: tuple[int, ...]) -> int:
+        return sum((labels[u] == labels[v]) != (a == 1) for u, v, a in self.history)
 
     @property
     def costs(self) -> tuple[int, ...]:
-        """Current disagreement cost of every candidate k-partition."""
-        return tuple(self._costs)
+        """Exact disagreement cost of every candidate k-partition, from the history."""
+        return tuple(map(self._cost_from_history, self._labels))
 
     def cost_of(self, p: Partition) -> int:
-        idx = self._index_of.get(p.labels)
-        if idx is None:
-            raise ValueError(f"partition does not have k={self.k} clusters")
-        return self._costs[idx]
+        if p.n != self.n or p.k != self.k:
+            raise ValueError(f"need a partition of {self.n} elements into k={self.k} clusters")
+        bit = reduce(and_, map(getitem, _label_masks(self.n, self.k), p.labels))
+        for cost, level in enumerate(self._lv):
+            if level & bit:
+                return cost
+        return self._cost_from_history(p.labels)
 
     def min_cost(self) -> int:
-        return min(self._costs)
+        for cost, level in enumerate(self._lv):
+            if level:
+                return cost
+        return min(self.costs)
+
+    def _join_of(self, u: int, v: int) -> int:
+        join = self._join.get((u, v) if u < v else (v, u))
+        if join is None:
+            raise ValueError(f"pair ({u}, {v}) invalid for n={self.n}")
+        return join
+
+    def _disagreeing(self, u: int, v: int, answer: int) -> int:
+        """Mask of the candidates that one more answer about (u, v) would cost."""
+        if answer not in (1, -1):
+            raise ValueError(f"answer must be +1 or -1, got {answer}")
+        join = self._join_of(u, v)
+        return self._all ^ join if answer == 1 else join
+
+    def _survivors(self, disagreeing: int) -> int:
+        """Mask of the candidates within budget after one more answer they disagree with."""
+        *below, top = self._lv
+        return reduce(or_, below, top & ~disagreeing)
 
     def record(self, u: int, v: int, answer: int) -> None:
-        """Record one answer, updating the instance and every cost."""
-        self.instance = self.instance.record_response(u, v, answer)
+        """Record one answer: the candidates it costs move up one level."""
+        d = self._disagreeing(u, v, answer)
+        lv = self._lv
+        for j in range(self.l, 0, -1):
+            lv[j] = (lv[j] & ~d) | (lv[j - 1] & d)
+        lv[0] &= ~d
         self.history.append((u, v, answer))
-        join = self._join[(min(u, v), max(u, v))]
-        costs = self._costs
-        if answer == 1:
-            for i in range(len(costs)):
-                if not join >> i & 1:
-                    costs[i] += 1
-        else:
-            for i in range(len(costs)):
-                if join >> i & 1:
-                    costs[i] += 1
 
-    def consistent_count(self, limit: int | None = None) -> int:
-        """Number of k-partitions within the lie budget, stopping early at limit."""
-        count = 0
-        for c in self._costs:
-            if c <= self.l:
-                count += 1
-                if limit is not None and count >= limit:
-                    return count
-        return count
+    def consistent_count(self) -> int:
+        """Number of k-partitions within the lie budget."""
+        return reduce(or_, self._lv).bit_count()
 
     def is_terminal(self) -> bool:
-        return self.consistent_count(2) == 1
+        return self.consistent_count() == 1
 
     def unique_witness(self) -> Partition | None:
         """The single partition within budget, when the game is over."""
-        found = None
-        for i, c in enumerate(self._costs):
-            if c <= self.l:
-                if found is not None:
-                    return None
-                found = i
-        return None if found is None else Partition.from_labels(self._labels[found])
+        alive = reduce(or_, self._lv)
+        if alive.bit_count() != 1:
+            return None
+        return Partition.from_labels(self._labels[alive.bit_length() - 1])
 
-    def lookahead_count(self, u: int, v: int, answer: int, limit: int | None = None) -> int:
+    def lookahead_count(self, u: int, v: int, answer: int) -> int:
         """Consistent count after hypothetically recording one more answer."""
-        join = self._join[(min(u, v), max(u, v))]
-        agree_with_join = answer == 1
-        count = 0
-        for i, c in enumerate(self._costs):
-            if bool(join >> i & 1) != agree_with_join:
-                c += 1
-            if c <= self.l:
-                count += 1
-                if limit is not None and count >= limit:
-                    return count
-        return count
+        return self._survivors(self._disagreeing(u, v, answer)).bit_count()
 
 
 @dataclass
@@ -210,47 +222,41 @@ def responder_answer(resp: ResponderState, game: GameState, u: int, v: int) -> i
 
     Base mode answers -1 unless every zero-cost explanation already forces
     the pair together (k-inseparability in the graph of negative answers).
-    Before committing a base answer that would leave exactly one candidate
-    within the lie budget, the responder looks for an alternative partition
-    within budget whose own answer keeps at least two candidates alive; if
-    one exists it commits to the highest-cost such partition (first in
-    canonical order on ties) and answers by it from then on.  With l >= 1
-    a commitment candidate always survives the aliveness check, so the
-    switch always happens; with l = 0 the check can fail, in which case the
-    base answer stands and ends the game.
+    It reads that off the game's zero-cost level, which holds exactly the
+    surjective k-colorings of that graph as long as the game holds only
+    this responder's answers: a +1 was given only when every coloring
+    joined the pair.  Before committing a base answer that would leave
+    exactly one candidate within the lie budget, the responder looks for an
+    alternative partition within budget whose own answer keeps at least two
+    candidates alive; if one exists it commits to the highest-cost such
+    partition (first in canonical order on ties) and answers by it from
+    then on.  With l >= 1 a commitment candidate always survives the
+    aliveness check, so the switch always happens; with l = 0 the check can
+    fail, in which case the base answer stands and ends the game.
     """
-    key = (min(u, v), max(u, v))
-    if key not in _join_masks(game.n, game.k):
-        raise ValueError(f"pair ({u}, {v}) invalid for n={game.n}")
+    join = game._join_of(u, v)
     if resp.mode == "endgame":
         assert resp.committed_partition is not None
         return resp.committed_partition.same_cluster(u, v)
 
-    neg_graph = SimpleGraph(game.n, game.instance.negative_pairs())
-    base = 1 if k_inseparable(neg_graph, game.k, u, v) else -1
-
-    if not game.is_terminal() and game.lookahead_count(u, v, base, 2) == 1:
-        labels = game._labels
-        costs = game._costs
-        join = game._join[key]
-        # The partition the base answer would leave as the unique witness.
-        witness_idx = next(
-            i
-            for i, c in enumerate(costs)
-            if c + (1 if bool(join >> i & 1) != (base == 1) else 0) <= game.l
-        )
-        best_idx = -1
-        best_cost = -1
-        for i, c in enumerate(costs):
-            if i == witness_idx or c > game.l:
-                continue
-            own_answer = 1 if join >> i & 1 else -1
-            if game.lookahead_count(u, v, own_answer, 2) >= 2 and c > best_cost:
-                best_idx, best_cost = i, c
-        if best_idx >= 0:
-            resp.mode = "endgame"
-            resp.committed_partition = Partition.from_labels(labels[best_idx])
-            return resp.committed_partition.same_cluster(u, v)
+    split = game._all ^ join
+    levels = game._lv
+    base = -1 if levels[0] & split else 1
+    # The candidates whose own answer is the base answer, and the others.
+    base_side, other_side = (join, split) if base == 1 else (split, join)
+    witness = game._survivors(other_side)
+    # A candidate answering the base answer itself would leave only the
+    # witness alive too, so the alternatives come from the other side.
+    if witness.bit_count() == 1 and game._survivors(base_side).bit_count() >= 2:
+        eligible = other_side & ~witness
+        for level in reversed(levels):
+            best = level & eligible
+            if best:
+                resp.mode = "endgame"
+                resp.committed_partition = Partition.from_labels(
+                    game._labels[(best & -best).bit_length() - 1]
+                )
+                return resp.committed_partition.same_cluster(u, v)
     return base
 
 
@@ -407,13 +413,13 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     if k in (1, n):
         # A single candidate is already uniquely determined.
         return GameValueResult(n, k, l, 0, 0)
-    if l + 1 > 255:
+    if l > MAX_SOLVER_LIES:
         # Any two candidates must be told apart by 2l+1 answers, so the
         # search is at least that many queries deep.
         raise SearchBudgetExceededError(
             0,
             f"game-value search would be at least {2 * l + 1} queries deep, and its "
-            f"capped costs up to l + 1 = {l + 1} do not fit in a byte (l <= 254)",
+            f"capped costs up to l + 1 = {l + 1} do not fit in a byte (l <= {MAX_SOLVER_LIES})",
         )
     check_permutation_n(n)  # the solver builds one relabel table per permutation
     solver = _MinimaxSolver(n, k, l, node_budget)

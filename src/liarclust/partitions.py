@@ -123,14 +123,20 @@ def enumerate_k_partitions(n: int, k: int) -> Iterator[Partition]:
 
 @cache
 def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Label tuples of all k-clustered partitions; cached for hot loops."""
+    """Label tuples of all k-clustered partitions, in canonical order; cached.
+
+    Extends restricted growth strings one position at a time, in
+    lexicographic order, and drops a prefix as soon as the positions left
+    cannot open the labels it lacks.
+    """
     check_enumeration_n(n)
     if not 0 < k <= n:
         return ()
-    target = k - 1
-    return tuple(
-        labels for labels in _restricted_growth_strings(n) if max(labels) == target
-    )
+    rows = [(0,)]
+    for left in range(n - 2, -1, -1):  # positions still to fill after the new one
+        rows = [r + (c,) for r in rows for used in (max(r) + 1,) for c in range(min(used + 1, k))
+                if max(used, c + 1) + left >= k]
+    return tuple(rows)
 
 
 @cache

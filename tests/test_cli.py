@@ -143,19 +143,27 @@ def test_game_value_budget_failure(capsys):
     code, out, err = run_cli(
         capsys, "game-value", "-n", "5", "-k", "2", "-l", "1", "--budget", "2"
     )
-    assert code == 1
+    assert code == 3
     assert "search gave up" in err
 
 
 def test_game_value_too_deep_gives_up_on_one_line(capsys):
-    # l + 1 = 301 does not fit the solver's byte costs, and l = 250 recurses
-    # past the interpreter's limit; both end in the one budget-failure line.
-    for lies in ("300", "250"):
-        code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", lies)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("search gave up:") and err.count("\n") == 1, err
-        assert "deep" in err
+    # l + 1 = 301 does not fit the solver's byte costs: unsupported input.
+    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", "300")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "l <= 254" in err
+    # l = 250 recurses past the interpreter's limit: the search gives up.
+    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", "250")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("search gave up:") and err.count("\n") == 1, err
+    assert "deep" in err
+    # A single-candidate cell needs no search, whatever l is.
+    code, out, _ = run_cli(capsys, "game-value", "-n", "3", "-k", "3", "-l", "300")
+    assert code == 0
+    assert json.loads(out)["value"] == 0
 
 
 def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from liarclust import game
+from liarclust.coloring import SimpleGraph, k_inseparable
 from liarclust.game import (
     GameState,
     GameValueResult,
     ResponderState,
     SearchBudgetExceededError,
+    _join_masks,
     _MinimaxSolver,
     _relabel_tables,
     exact_game_value,
@@ -19,7 +22,8 @@ from liarclust.game import (
 )
 from liarclust.instance import SignedInstance
 from liarclust.limits import ExhaustionLimitError
-from liarclust.partitions import Partition, enumerate_k_partitions
+from liarclust.oracles import AdversarialOracle
+from liarclust.partitions import Partition, enumerate_k_partitions, k_partition_label_tuples
 
 
 def _reference_value(n: int, k: int, l: int) -> int:
@@ -64,13 +68,33 @@ def _reference_value(n: int, k: int, l: int) -> int:
 
 
 def test_game_state_costs_match_instance_costs():
+    # The reference records the same answers into its own SignedInstance.
+    candidates = list(enumerate_k_partitions(4, 2))
     game = GameState(4, 2, 1)
+    reference = SignedInstance(4)
     for u, v, a in [(0, 1, -1), (0, 2, 1), (1, 3, -1), (0, 1, -1), (2, 3, 1)]:
         game.record(u, v, a)
-    for p in enumerate_k_partitions(4, 2):
-        assert game.cost_of(p) == game.instance.cost(p)
-    assert game.min_cost() == min(game.costs)
+        reference = reference.record_response(u, v, a)
+        want = [reference.cost(p) for p in candidates]
+        # Candidates past the lie budget are in no level: their exact cost
+        # comes from the history.
+        assert [game.cost_of(p) for p in candidates] == want
+        assert game.costs == tuple(want)
+        assert game.consistent_count() == sum(c <= 1 for c in want)
+        assert game.min_cost() == min(want)
+    assert max(game.costs) > 2
     assert len(game.history) == 5
+
+    # Every candidate past the budget: the least cost still comes out exact.
+    torn = GameState(3, 2, 0)
+    for answer in (1, -1, -1):
+        torn.record(0, 1, answer)
+    assert torn.consistent_count() == 0
+    assert torn.min_cost() == 1
+    with pytest.raises(ValueError):
+        torn.cost_of(Partition(3, ((0,), (1,), (2,))))
+    with pytest.raises(ValueError):
+        torn.record(0, 1, 0)
 
 
 def test_terminality_and_witness():
@@ -176,6 +200,80 @@ def test_responder_keeps_zero_cost_explanation_in_base_mode():
                 game.record(u, v, a)
                 if resp.mode == "base":
                     assert game.min_cost() == 0, (n, k, u, v)
+
+
+def _reference_adversary(n, k, l, pairs):
+    """The responder's rule from first principles, independent of GameState.
+
+    Costs come from a SignedInstance over enumerate_k_partitions, the base
+    answer from k_inseparable on the graph of negative answers, and the
+    commitment from an explicit scan for the highest cost, first in
+    canonical order on ties.  Plays pairs until one candidate is left and
+    returns the answers, the step that switched to the endgame (or None),
+    the committed partition and the final costs.
+    """
+    candidates = list(enumerate_k_partitions(n, k))
+    inst = SignedInstance(n)
+    answers, switch, committed = [], None, None
+
+    def survivors(after):
+        return [p for p in candidates if after.cost(p) <= l]
+
+    for step, (u, v) in enumerate(pairs):
+        if len(survivors(inst)) == 1:
+            break
+        if committed is None:
+            negative = SimpleGraph(n, inst.negative_pairs())
+            answer = 1 if k_inseparable(negative, k, u, v) else -1
+            left = survivors(inst.record_response(u, v, answer))
+            if len(left) == 1:
+                alive_after = {a: len(survivors(inst.record_response(u, v, a))) for a in (1, -1)}
+                best_cost = -1
+                for p in candidates:
+                    cost = inst.cost(p)
+                    if p == left[0] or cost > l or alive_after[p.same_cluster(u, v)] < 2:
+                        continue
+                    if cost > best_cost:
+                        committed, best_cost = p, cost
+                if committed is not None:
+                    switch = step
+        if committed is not None:
+            answer = committed.same_cluster(u, v)
+        inst = inst.record_response(u, v, answer)
+        answers.append(answer)
+    return answers, switch, committed, [inst.cost(p) for p in candidates]
+
+
+def _play_adversary(n, k, l, pairs):
+    oracle = AdversarialOracle(n, k, l)
+    answers, switch = [], None
+    for step, (u, v) in enumerate(pairs):
+        if oracle.is_terminal():
+            break
+        answers.append(oracle.answer(u, v))
+        if switch is None and oracle.responder.mode == "endgame":
+            switch = step
+    assert oracle.is_terminal(), (n, k, l)
+    return answers, switch, oracle.responder.committed_partition, list(oracle.game.costs)
+
+
+def test_adversary_matches_reference_responder():
+    rng = random.Random(606)
+    switches = 0
+    for n in range(3, 7):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        cap = 30 * len(pairs)
+        for k in range(2, n):
+            for l in range(3):
+                orders = [list(itertools.islice(itertools.cycle(pairs), cap))]
+                for _ in range(2):
+                    order = [rng.choice(pairs) for _ in range(cap)]
+                    orders.append([(v, u) if rng.random() < 0.5 else (u, v) for u, v in order])
+                for order in orders:
+                    got = _play_adversary(n, k, l, order)
+                    assert got == _reference_adversary(n, k, l, order), (n, k, l, order[:8])
+                    switches += got[1] is not None
+    assert switches >= 60  # every game with l >= 1 commits
 
 
 def test_responder_rejects_bad_pair():
@@ -295,6 +393,21 @@ def test_search_budget_is_enforced():
     with pytest.raises(SearchBudgetExceededError) as info:
         exact_game_value(5, 2, 1, node_budget=3)
     assert info.value.nodes > 3
+
+
+def test_join_masks_match_a_bit_by_bit_build():
+    for n in range(1, 9):
+        pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
+        for k in range(1, n + 1):
+            labels = k_partition_label_tuples(n, k)
+            masks = _join_masks(n, k)
+            assert set(masks) == pairs
+            for (u, v), mask in masks.items():
+                want = 0
+                for i, lab in enumerate(labels):
+                    if lab[u] == lab[v]:
+                        want |= 1 << i
+                assert mask == want, (n, k, u, v)
 
 
 def test_relabel_tables_are_index_permutations():

@@ -9,6 +9,7 @@ import pytest
 from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import (
     Partition,
+    _restricted_growth_strings,
     bell,
     enumerate_k_partitions,
     enumerate_partitions,
@@ -123,6 +124,14 @@ def test_label_tuples_match_enumeration():
             parts = list(enumerate_k_partitions(n, k))
             assert [Partition.from_labels(t) for t in tuples] == parts
             assert [p.labels for p in parts] == list(tuples)
+
+
+def test_label_tuples_match_filtered_growth_strings():
+    for n in range(11):
+        strings = list(_restricted_growth_strings(n))
+        for k in range(n + 2):
+            want = tuple(s for s in strings if max(s) == k - 1) if 0 < k <= n else ()
+            assert k_partition_label_tuples(n, k) == want, (n, k)
 
 
 def test_enumeration_limit_guard(monkeypatch):
