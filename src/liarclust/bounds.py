@@ -132,7 +132,11 @@ def hamming_ball_volume(l: int, q: int) -> int:
     """Number of binary length-q strings within Hamming distance l of a fixed one."""
     if l < 0 or q < 0:
         raise ValueError(f"need l >= 0 and q >= 0, got l={l}, q={q}")
-    return sum(comb(q, i) for i in range(min(l, q) + 1))
+    term = total = 1
+    for i in range(min(l, q)):
+        term = term * (q - i) // (i + 1)  # comb(q, i + 1), exactly
+        total += term
+    return total
 
 
 def liar_counting_feasible(num_candidates: int, l: int, q: int) -> bool:

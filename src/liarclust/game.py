@@ -15,15 +15,27 @@ queries played is exactly the cost of learning it.  This module provides
     allows it and, when cornered, commits to an expensive alternative
     explanation to drag the game out;
   * exact_game_value: the game-theoretic value under optimal play on both
-    sides, by memoized alpha-beta search over capped cost vectors.
+    sides, by memoized alpha-beta search over capped cost vectors, cut and
+    ordered by the Renyi-Ulam volume bound.
 
 The search caps every recorded cost at l+1: a partition past the lie budget
 is out of the game no matter how much further weight it collects.  A
 position is a bytes object with one capped cost per candidate, so l is at
-most MAX_SOLVER_LIES, and a child position is built by C-level maps over
-it.  Positions are identified up to relabeling of the ground set: the key is
-the least image of the position under one operator.itemgetter per relabel
-table, memoized per raw position for the life of one search.
+most MAX_SOLVER_LIES; it is read through per-level masks, and a child
+position is one big-integer addition away.  Positions are identified up to
+relabeling of the ground set: the key is the least image of the position
+under one operator.itemgetter per relabel table, memoized per raw position
+for the life of one search.
+
+Berlekamp's volume bound (see A. Pelc, "Searching games with errors - fifty
+years of coping with liars", TCS 2002) is the least q for which the live
+candidates' Hamming balls of radius l - cost fit in the 2**q answer strings
+of q more queries.  No questioner beats it, pairs or not, so a position
+whose bound already reaches the search window is cut before it is
+canonicalized, and a position stops trying pairs once one meets its bound.
+It also orders the search: pairs whose heavier child holds the least
+volume come first (Berlekamp's balance), and of the two answers the child
+with the higher bound is searched first.
 """
 
 from __future__ import annotations
@@ -32,8 +44,9 @@ import itertools
 import sys
 from dataclasses import dataclass
 from functools import cache, reduce
-from operator import add, and_, getitem, itemgetter, or_
+from operator import and_, getitem, itemgetter, or_
 
+from .bounds import hamming_ball_volume
 from .limits import check_permutation_n
 from .partitions import Partition, k_partition_label_tuples, stirling2
 
@@ -276,28 +289,59 @@ _TT_EXACT, _TT_LOWER, _TT_UPPER = 0, 1, 2
 
 
 class _MinimaxSolver:
-    """Alpha-beta over capped cost vectors, memoized up to relabeling."""
+    """Alpha-beta over capped cost vectors, memoized up to relabeling and cut by volume.
+
+    A position is read through masks spread 8 bits apart: bit 8i stands for
+    candidate i, byte i of the position, so a level mask is the position
+    translated to 0/1 bytes and read as one little-endian integer.
+    """
 
     def __init__(self, n: int, k: int, l: int, node_budget: int) -> None:
         self.l = l
-        self.cap = l + 1
         self.size = stirling2(n, k)
-        self.join = [_join_masks(n, k)[p] for p in _pair_list(n)]
-        # Per pair, which costs go up: on a join answer the candidates that
-        # separate the pair, on a split answer those that join it.
-        self.bumps = [
-            (
-                bytes(0 if jm >> i & 1 else 1 for i in range(self.size)),
-                bytes(jm >> i & 1 for i in range(self.size)),
-            )
-            for jm in self.join
-        ]
-        self.clamp = tuple(range(self.cap + 1)) + (self.cap,)  # min(c, cap), c <= cap + 1
+        self.levels = range(l + 1)
+        self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
+        self.live_table = bytes(c <= l for c in range(256))
+        self.join = [self._spread(_join_masks(n, k)[p]) for p in _pair_list(n)]
         self.getters = [itemgetter(*t) for t in _relabel_tables(n, k)]
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
         self.tt: dict[bytes, tuple[int, int]] = {}
+        self.volumes: dict[tuple[int, int], int] = {}
+        self.bounds: dict[tuple[int, ...], int] = {}
+
+    def _spread(self, mask: int) -> int:
+        return int.from_bytes(bytes(mask >> i & 1 for i in range(self.size)), "little")
+
+    def _volume(self, r: int, q: int) -> int:
+        """Answer strings of length q that a candidate with r lies left survives."""
+        if r < 0:
+            return 0
+        v = self.volumes.get((r, q))
+        if v is None:
+            v = self.volumes[(r, q)] = hamming_ball_volume(r, q)
+        return v
+
+    def _lb(self, hist: tuple[int, ...]) -> int:
+        """Berlekamp's volume bound on the queries a position still needs.
+
+        hist[c] live candidates have cost c.  Each answer splits the total
+        volume sum(hamming_ball_volume(l - c, q)) between the two children
+        (with q - 1 queries left), and a finished game has volume 1, so q
+        queries suffice only if the volume is at most 2**q.  Two candidates
+        with r and r' lies left need r + r' + 1 answers, where the test
+        starts: below that their two balls alone overfill the cube.
+        """
+        lb = self.bounds.get(hist)
+        if lb is None:
+            balls = [(self.l - c, m) for c, m in enumerate(hist) if m]
+            (r, m), *rest = balls
+            q = 2 * r + 1 if m > 1 else r + rest[0][0] + 1
+            while sum(m * self._volume(r, q) for r, m in balls) > 1 << q:
+                q += 1
+            lb = self.bounds[hist] = q
+        return lb
 
     def _canon(self, s: bytes) -> bytes:
         key = self.keys.get(s)
@@ -305,31 +349,37 @@ class _MinimaxSolver:
             key = self.keys[s] = bytes(min([g(s) for g in self.getters]))
         return key
 
-    def _children(self, s: bytes, pi: int) -> list[tuple[int, bytes]]:
-        """Legal (survivor count, child state) for both answers to pair pi."""
-        clamp = self.clamp.__getitem__
+    def _children(self, s: bytes, pi: int) -> list[tuple[int, int, bytes, tuple[int, ...]]]:
+        """Legal (bound, survivor count, child, histogram) for both answers to pair pi.
+
+        On a join answer the live candidates that separate the pair cost one
+        more, on a split answer those that join it; a candidate already past
+        l stays at l + 1, which still fits a byte.
+        """
+        x = int.from_bytes(s, "little")
+        live = int.from_bytes(s.translate(self.live_table), "little")
+        join = self.join[pi]
         out = []
-        for bump in self.bumps[pi]:
-            child = bytes(map(clamp, map(add, s, bump)))
-            live_after = self.size - child.count(self.cap)
+        for bump in (live & ~join, live & join):
+            child = (x + bump).to_bytes(self.size, "little")
+            hist = tuple(map(child.count, self.levels))
+            live_after = sum(hist)
             if live_after:
-                out.append((live_after, child))
+                out.append((self._lb(hist) if live_after > 1 else 0, live_after, child, hist))
         return out
 
     def solve(self) -> int:
-        return self._fq(bytes(self.size), 0, _INF)
+        s = bytes(self.size)
+        return self._fq(s, tuple(map(s.count, self.levels)), 0, _INF)
 
-    def _fq(self, s: bytes, alpha: int, beta: int) -> int:
-        l = self.l
-        live_mask = 0
-        live = 0
-        for i, c in enumerate(s):
-            if c <= l:
-                live_mask |= 1 << i
-                live += 1
+    def _fq(self, s: bytes, hist: tuple[int, ...], alpha: int, beta: int) -> int:
+        live = sum(hist)
         assert live >= 1, "reached an inconsistent position"
         if live == 1:
             return 0
+        lb = self._lb(hist)
+        if lb >= beta:
+            return lb  # a valid lower bound, so the parent cuts here too
 
         key = self._canon(s)
         entry = self.tt.get(key)
@@ -350,29 +400,50 @@ class _MinimaxSolver:
         if self.nodes > self.node_budget:
             raise SearchBudgetExceededError(self.nodes)
 
-        a0, b0 = alpha, beta
+        # Per cost level: its mask, its size, and the volume one of its
+        # candidates keeps with lb - 1 queries left if an answer spares it
+        # and if the answer costs it.
+        l, q = self.l, lb - 1
+        by_level = [
+            (
+                int.from_bytes(s.translate(self.level_tables[c]), "little"),
+                m,
+                self._volume(l - c, q),
+                self._volume(l - c - 1, q),
+            )
+            for c, m in enumerate(hist)
+            if m
+        ]
         moves = []
         for pi, jm in enumerate(self.join):
-            inter = jm & live_mask
-            if inter == 0 or inter == live_mask:
+            joiners = join_weight = split_weight = 0
+            for mask, m, spared, costed in by_level:
+                a = (jm & mask).bit_count()
+                joiners += a
+                join_weight += a * spared + (m - a) * costed
+                split_weight += (m - a) * spared + a * costed
+            if joiners == 0 or joiners == live:
                 continue  # every live candidate agrees: the pair gains nothing
-            joiners = inter.bit_count()
-            moves.append((abs(2 * joiners - live), pi))
+            # Berlekamp's balance: the lighter the heavier child, the better.
+            moves.append((max(join_weight, split_weight), abs(2 * joiners - live), pi))
         assert moves, "non-terminal position with no informative pair"
         moves.sort()
 
+        a0, b0 = alpha, beta
         value = _INF
         cur_beta = beta
-        for _, pi in moves:
+        for _, _, pi in moves:
             v = self._fr(s, pi, alpha, cur_beta)
             if v < value:
                 value = v
                 if value < cur_beta:
                     cur_beta = value
-            if value <= alpha:
-                break
+            if value <= alpha or value <= lb:
+                break  # past the window, or no pair can beat the bound
 
-        if value <= a0:
+        if value <= lb:
+            flag = _TT_EXACT  # the bound is met, so the value is exact
+        elif value <= a0:
             flag = _TT_UPPER
         elif value >= b0:
             flag = _TT_LOWER
@@ -383,11 +454,12 @@ class _MinimaxSolver:
 
     def _fr(self, s: bytes, pi: int, alpha: int, beta: int) -> int:
         children = self._children(s, pi)
-        # Try the answer keeping more candidates alive first.
-        children.sort(key=lambda t: -t[0])
+        # Try the answer with the higher bound first, then the one keeping
+        # more candidates alive.
+        children.sort(key=lambda t: (-t[0], -t[1]))
         value = -_INF
-        for _, child in children:
-            v = 1 + self._fq(child, alpha - 1, beta - 1)
+        for _, _, child, hist in children:
+            v = 1 + self._fq(child, hist, alpha - 1, beta - 1)
             if v > value:
                 value = v
                 if value > alpha:
@@ -399,6 +471,15 @@ class _MinimaxSolver:
 
 def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> GameValueResult:
     """Value of the game under optimal play: the exact worst-case query count.
+
+    The search is alpha-beta over positions up to relabeling, cut and
+    ordered by the volume bound.  A position whose bound reaches the search
+    window returns the bound before it is canonicalized or looked up, and a
+    position stops trying pairs once one meets its bound.  Pairs are tried
+    by the volume of their heavier child, least first (Berlekamp's balance),
+    then by how evenly they split the live candidates; answers are tried
+    higher-bound child first, then the child with more live candidates.
+    nodes counts the positions expanded.
 
     Raises SearchBudgetExceededError when the memoized search would expand
     more than node_budget positions or recurse past the interpreter's

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 
 from liarclust import game
+from liarclust.bounds import adaptive_lower_bound_ceil, upper_bound_known
 from liarclust.coloring import SimpleGraph, k_inseparable
 from liarclust.game import (
     GameState,
@@ -26,12 +28,13 @@ from liarclust.oracles import AdversarialOracle
 from liarclust.partitions import Partition, enumerate_k_partitions, k_partition_label_tuples
 
 
-def _reference_value(n: int, k: int, l: int) -> int:
+def _reference_value(n: int, k: int, l: int, start: SignedInstance | None = None) -> int:
     """Plain memoized minimax straight from instance costs, no pruning.
 
     Kept deliberately separate from the production solver: no cost capping,
-    no symmetry reduction, no alpha-beta, states keyed by the raw signed
-    instance.  Slow but obviously faithful to the game definition.
+    no symmetry reduction, no alpha-beta, no volume bound, states keyed by
+    the raw signed instance.  Slow but obviously faithful to the game
+    definition.  The game starts from start, or from no answers.
     """
     candidates = list(enumerate_k_partitions(n, k))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -64,7 +67,7 @@ def _reference_value(n: int, k: int, l: int) -> int:
         memo[key] = best
         return best
 
-    return value(SignedInstance(n))
+    return value(SignedInstance(n) if start is None else start)
 
 
 def test_game_state_costs_match_instance_costs():
@@ -298,11 +301,60 @@ def test_exact_game_value_matches_plain_reference():
         (4, 3, 0),
         (4, 3, 1),
         (5, 2, 0),
+        (5, 3, 0),
+        (5, 4, 0),
     ]
     for n, k, l in cells:
         expected = _reference_value(n, k, l)
         got = exact_game_value(n, k, l)
         assert got.value == expected, (n, k, l, got.value, expected)
+
+
+def _volume_bound(costs: list[int], l: int) -> int:
+    """Least q with sum over live costs c of sum_{j <= l - c} C(q, j) <= 2**q."""
+    q = 0
+    while sum(math.comb(q, j) for c in costs if c <= l for j in range(l - c + 1)) > 2**q:
+        q += 1
+    return q
+
+
+def _histogram(costs: list[int], l: int) -> tuple[int, ...]:
+    return tuple(costs.count(c) for c in range(l + 1))
+
+
+def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
+    rng = random.Random(7007)
+    for n, k in [(4, 2), (4, 3), (5, 3)]:
+        for l in range(4):
+            solver = _MinimaxSolver(n, k, l, node_budget=1)
+            for _ in range(40):
+                costs = [rng.randint(0, l + 1) for _ in range(solver.size)]
+                if sum(c <= l for c in costs) >= 2:
+                    assert solver._lb(_histogram(costs, l)) == _volume_bound(costs, l), costs
+
+    # Admissible: at positions on seeded random answer paths the bound is at
+    # most the reference value, so cutting on it loses no line of play.
+    checked = 0
+    for n, k, l in [(3, 2, 2), (4, 2, 1), (4, 3, 1)]:
+        candidates = list(enumerate_k_partitions(n, k))
+        pairs = list(itertools.combinations(range(n), 2))
+        solver = _MinimaxSolver(n, k, l, node_budget=1)
+        seen = set()
+        for _ in range(4):
+            inst = SignedInstance(n)
+            costs = [0] * len(candidates)
+            while sum(c <= l for c in costs) >= 2:
+                if tuple(costs) not in seen:
+                    seen.add(tuple(costs))
+                    bound = solver._lb(_histogram(costs, l))
+                    assert bound <= _reference_value(n, k, l, inst), (n, k, l, costs)
+                u, v = rng.choice(pairs)
+                nxt = inst.record_response(u, v, rng.choice((1, -1)))
+                if any(nxt.cost(p) <= l for p in candidates):
+                    inst = nxt
+                    costs = [inst.cost(p) for p in candidates]
+        checked += len(seen)
+    assert checked >= 30
 
 
 def test_exact_game_value_known_anchors():
@@ -341,25 +393,58 @@ def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatc
 
 
 def test_exact_game_value_pins_values_and_node_counts():
-    # (value, nodes) per cell; a change to the search order or the
-    # transposition table shows up here as a different node count.
+    # (value, nodes) per cell; a change to the search order, the volume bound
+    # or the transposition table shows up here as a different node count.
     pinned = {
         (3, 2, 0): (2, 2),
-        (3, 2, 1): (5, 9),
-        (4, 2, 0): (3, 5),
-        (4, 2, 1): (6, 59),
-        (4, 3, 0): (5, 9),
-        (4, 3, 1): (11, 142),
-        (5, 2, 0): (4, 11),
-        (5, 2, 1): (7, 263),
-        (5, 3, 0): (7, 33),
-        (5, 3, 1): (12, 3418),
-        (5, 4, 0): (9, 32),
-        (5, 4, 1): (19, 1914),
+        (3, 2, 1): (5, 6),
+        (3, 2, 2): (8, 12),
+        (4, 2, 0): (3, 4),
+        (4, 2, 1): (6, 16),
+        (4, 2, 2): (9, 42),
+        (4, 3, 0): (5, 6),
+        (4, 3, 1): (11, 53),
+        (4, 3, 2): (17, 277),
+        (5, 2, 0): (4, 7),
+        (5, 2, 1): (7, 38),
+        (5, 3, 0): (7, 12),
+        (5, 3, 1): (12, 236),
+        (5, 4, 0): (9, 28),
+        (5, 4, 1): (19, 778),
+    }
+    # Nodes of the same search before the volume bound cut and ordered it:
+    # the bound only ever removes nodes.
+    without_volume_bound = {
+        (3, 2, 0): 2,
+        (3, 2, 1): 9,
+        (3, 2, 2): 32,
+        (4, 2, 0): 5,
+        (4, 2, 1): 59,
+        (4, 2, 2): 772,
+        (4, 3, 0): 9,
+        (4, 3, 1): 142,
+        (4, 3, 2): 1513,
+        (5, 2, 0): 11,
+        (5, 2, 1): 263,
+        (5, 3, 0): 33,
+        (5, 3, 1): 3418,
+        (5, 4, 0): 32,
+        (5, 4, 1): 1914,
     }
     for (n, k, l), (value, nodes) in pinned.items():
         got = exact_game_value(n, k, l)
         assert (got.value, got.nodes) == (value, nodes), (n, k, l, got)
+        assert nodes <= without_volume_bound[(n, k, l)], (n, k, l)
+
+
+def test_exact_game_values_past_five_elements():
+    # Values the volume bound made cheap, each inside its closed-form bounds.
+    # (6,4,1) = 20 and (6,5,1) = 29 take minutes and are listed in the README.
+    values = {(6, 2, 1): 9, (6, 2, 2): 12, (6, 3, 1): 14, (7, 2, 1): 10}
+    for (n, k, l), value in values.items():
+        got = exact_game_value(n, k, l).value
+        assert got == value, (n, k, l, got)
+        assert adaptive_lower_bound_ceil(n, k, l) <= value <= upper_bound_known(n, k, l)
 
 
 def test_solver_canonical_key_is_the_least_relabeling():
