@@ -28,9 +28,9 @@ from .harness import (
 from .learners.plans import (
     DecodeError,
     QueryPlan,
-    _is_int,
     build_plan,
     decode_plan,
+    int_triples,
     majority_decode,
     plan_decodable,
     robust_plan,
@@ -121,11 +121,7 @@ def cmd_decode(args) -> int:
     plan = _load_plan(args)
     with open(args.answers_file, encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list) or not all(
-        isinstance(a, list) and len(a) == 3 and all(_is_int(x) for x in a) for a in raw
-    ):
-        raise ValueError("answers must be a JSON list of [u, v, sign] integer triples")
-    answers = [tuple(a) for a in raw]
+    answers = int_triples(raw, "answers must be a JSON list of [u, v, sign] integer triples")
     try:
         if any(m != 1 for _, _, m in plan.queries):
             if args.lies is None:

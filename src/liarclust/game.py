@@ -217,10 +217,6 @@ class GameState:
             return None
         return Partition.from_labels(self._labels[alive.bit_length() - 1])
 
-    def lookahead_count(self, u: int, v: int, answer: int) -> int:
-        """Consistent count after hypothetically recording one more answer."""
-        return self._survivors(self._disagreeing(u, v, answer)).bit_count()
-
 
 @dataclass
 class ResponderState:

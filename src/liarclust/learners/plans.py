@@ -19,10 +19,7 @@ when more than one does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import comb
 
-from ..coloring import SimpleGraph, unique_surjective_k_coloring
-from ..instance import MULTIPLE
 from ..limits import check_enumeration_n
 from ..partitions import Partition, enumerate_k_partitions, enumerate_partitions
 
@@ -94,15 +91,21 @@ class QueryPlan:
         n, k_mode, queries = data["n"], data["k_mode"], data["queries"]
         if not _is_int(n) or not (k_mode is None or _is_int(k_mode)):
             raise ValueError("plan n and k_mode must be JSON integers (k_mode may be null)")
-        if not isinstance(queries, list) or not all(
-            isinstance(q, list) and len(q) == 3 and all(_is_int(x) for x in q) for q in queries
-        ):
-            raise ValueError("plan queries must be a list of [u, v, m] integer triples")
-        return cls(n, k_mode, tuple(tuple(q) for q in queries))
+        queries = int_triples(queries, "plan queries must be a list of [u, v, m] integer triples")
+        return cls(n, k_mode, queries)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def int_triples(data, message: str) -> tuple[tuple[int, int, int], ...]:
+    """data, a JSON list of three-integer lists, as tuples; ValueError(message) otherwise."""
+    if not isinstance(data, list) or not all(
+        isinstance(t, list) and len(t) == 3 and all(_is_int(x) for x in t) for t in data
+    ):
+        raise ValueError(message)
+    return tuple(tuple(t) for t in data)
 
 
 def _all_pairs(n: int) -> list[Pair]:
@@ -234,27 +237,61 @@ def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
             parent[find(u)] = find(v)
     component = Partition.from_labels(find(x) for x in range(plan.n))
     comp_of = component.labels
-    conflicts = set()
+    adj = [0] * component.k
     for (u, v), s in signs.items():
         if s == -1:
             a, b = comp_of[u], comp_of[v]
             if a == b:
                 raise InfeasibleAnswersError(f"answer for {(u, v)} contradicts the rest")
-            conflicts.add((a, b) if a < b else (b, a))
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
     if plan.k_mode is None:
-        if len(conflicts) < comb(component.k, 2):
+        if sum(m.bit_count() for m in adj) < component.k * (component.k - 1):
             raise AmbiguousAnswersError("two groups are never told apart")
         return component
-    coloring = unique_surjective_k_coloring(
-        SimpleGraph(component.k, frozenset(conflicts)), plan.k_mode
-    )
-    if coloring is None:
+    found = _surjective_class_partitions(adj, plan.k_mode, 2)
+    if not found:
         raise InfeasibleAnswersError(
             f"no {plan.k_mode}-cluster partition explains the answers"
         )
-    if coloring == MULTIPLE:
+    if len(found) > 1:
         raise AmbiguousAnswersError("answers leave more than one valid reading")
-    return Partition.from_labels(coloring.labels[c] for c in comp_of)
+    return Partition.from_labels(found[0][c] for c in comp_of)
+
+
+def _surjective_class_partitions(adj: list[int], k: int, limit: int) -> list[tuple[int, ...]]:
+    """Up to limit proper colorings of a graph that use all k colors, as label tuples.
+
+    adj[v] is the bitmask of v's neighbours.  Colors are opened in
+    first-use order, so two colorings with the same color classes are never
+    both returned, and the search stops as soon as limit are found.
+    """
+    n = len(adj)
+    out: list[tuple[int, ...]] = []
+    labels = [0] * n
+    members = [0] * k  # vertex bitmask per color
+
+    def extend(v: int, used: int) -> bool:
+        if v == n:
+            if used == k:
+                out.append(tuple(labels))
+            return len(out) >= limit
+        if n - v < k - used:
+            return False  # not enough vertices left to open the remaining colors
+        av = adj[v]
+        for c in range(used + 1 if used < k else k):
+            if av & members[c]:
+                continue
+            labels[v] = c
+            members[c] |= 1 << v
+            done = extend(v + 1, used + 1 if c == used else used)
+            members[c] &= ~(1 << v)
+            if done:
+                return True
+        return False
+
+    extend(0, 0)
+    return out
 
 
 def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:

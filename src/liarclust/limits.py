@@ -1,14 +1,13 @@
 """Desk-scale guard rails.
 
-Every exhaustive routine in this package (partition enumeration, minimum
-disagreement clustering, exact expectations over element orders, the
-minimax solver's relabel tables) is meant for instances small enough to
-check by complete enumeration.  The permutation cap bounds n, the number of
-elements, for every enumeration of up to n! items: one insertion sweep per
-distinct cluster-label sequence, or one relabel table per permutation of the
-elements.  The caps below stop an accidental n=40 from hanging a terminal;
-they can be raised per process through environment variables when a bigger
-desk is genuinely wanted.
+Every exhaustive routine in this package (partition enumeration, exact
+expectations over element orders, the minimax solver's relabel tables) is
+meant for instances small enough to check by complete enumeration.  The
+permutation cap bounds n, the number of elements, for every enumeration of
+up to n! items: one insertion sweep per distinct cluster-label sequence, or
+one relabel table per permutation of the elements.  The caps below stop an
+accidental n=40 from hanging a terminal; they can be raised per process
+through environment variables when a bigger desk is genuinely wanted.
 """
 
 from __future__ import annotations

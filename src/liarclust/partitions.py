@@ -139,16 +139,22 @@ def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _stirling_row(n: int, k: int) -> list[int]:
+    """stirling2(n, j) for j = 0..k, one row of the recurrence at a time."""
+    row = [1] + [0] * k
+    for _ in range(n):
+        for j in range(k, 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row
+
+
 @cache
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k nonempty clusters."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling_row(n, k)[k]
 
 
 @cache
@@ -156,7 +162,7 @@ def bell(n: int) -> int:
     """Number of partitions of an n-set."""
     if n < 0:
         raise ValueError("bell needs a nonnegative argument")
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling_row(n, n))
 
 
 def random_k_partition(n: int, k: int, rng: random.Random) -> Partition:

@@ -27,11 +27,6 @@ from liarclust.bounds import (
     upper_bound_known,
     upper_bound_unknown,
 )
-from liarclust.coloring import (
-    SimpleGraph,
-    unique_coloring_edge_bound_holds,
-    unique_surjective_k_coloring,
-)
 from liarclust.game import SearchBudgetExceededError, exact_game_value
 from liarclust.harness import (
     ExperimentConfig,
@@ -39,7 +34,6 @@ from liarclust.harness import (
     monte_carlo_expected,
     run_game,
 )
-from liarclust.instance import MULTIPLE
 from liarclust.learners.adaptive import (
     insertion_cluster,
     insertion_cluster_known_k,
@@ -49,6 +43,7 @@ from liarclust.learners.adaptive import (
 )
 from liarclust.learners.plans import (
     QueryPlan,
+    _surjective_class_partitions,
     build_plan,
     decode_plan,
     majority_decode,
@@ -58,13 +53,13 @@ from liarclust.learners.plans import (
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import (
-    Partition,
     bell,
     enumerate_k_partitions,
     enumerate_partitions,
     random_k_partition,
     stirling2,
 )
+from references import adjacency
 
 
 def _report(num: int, label: str, failures: list[str], covered: str) -> None:
@@ -426,12 +421,11 @@ def test_10_unique_coloring_agreement_and_edge_floor():
                 for u, v in itertools.combinations(sorted(cluster), 2):
                     mask |= 1 << index[(u, v)]
             profile.append((mask, p.k))
-        singletons = Partition.from_labels(list(range(n)))
+        singletons = [tuple(range(n))]
         for gmask in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if gmask >> i & 1]
-            g = SimpleGraph.from_edges(n, edges)
-            verdict = unique_surjective_k_coloring(g, n)
-            if verdict != singletons:
+            adj = adjacency(n, edges)
+            if _surjective_class_partitions(adj, n, 2) != singletons:
                 failures.append(f"n={n} graph {gmask}: k=n did not yield the singletons")
             counts = [0] * (n + 1)
             for pmask, size in profile:
@@ -440,15 +434,15 @@ def test_10_unique_coloring_agreement_and_edge_floor():
             proper_up_to_k = 0
             for k in range(1, n):
                 proper_up_to_k += counts[k]
-                verdict = unique_surjective_k_coloring(g, k)
-                unique_here = verdict is not None and verdict != MULTIPLE
+                unique_here = len(_surjective_class_partitions(adj, k, 2)) == 1
                 classical = proper_up_to_k == 1
                 checked += 1
                 if unique_here != classical:
                     failures.append(
                         f"n={n} k={k} graph {gmask}: surjective {unique_here}, classical {classical}"
                     )
-                elif unique_here and not unique_coloring_edge_bound_holds(g, k):
+                # A uniquely k-colorable graph has at least n(k-1) - C(k,2) edges.
+                elif unique_here and len(edges) < n * (k - 1) - comb(k, 2):
                     failures.append(f"n={n} k={k} graph {gmask}: below the edge floor")
     elapsed = time.perf_counter() - t0
     if elapsed >= 300.0:

@@ -77,6 +77,10 @@ def test_bounds_json(capsys):
     assert data["adaptive_lower"] == "31/2"
     assert data["adaptive_lower_ceil"] == 16
     assert data["adaptive_upper_known"] == 29
+    # n = 500 is valid input, past the interpreter's recursion limit.
+    code, out, _ = run_cli(capsys, "bounds", "-n", "500", "-k", "2")
+    assert code == 0
+    assert json.loads(out)["adaptive_upper_known"] == 499
 
 
 def test_plan_and_check_plan(capsys, tmp_path):

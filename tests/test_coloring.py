@@ -1,31 +1,23 @@
-"""Surjective colorings and inseparability, cross-checked by brute force."""
+"""The plan decoder's coloring search and pair inseparability, cross-checked by brute force."""
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-import pytest
-
-from liarclust.coloring import (
-    SimpleGraph,
-    has_surjective_k_coloring,
-    k_inseparable,
-    unique_coloring_edge_bound_holds,
-    unique_surjective_k_coloring,
-)
-from liarclust.instance import MULTIPLE
+from liarclust.learners.plans import _surjective_class_partitions
 from liarclust.partitions import Partition
+from references import adjacency, k_inseparable
 
 
-def graph(n, *edges):
-    return SimpleGraph.from_edges(n, edges)
+def colorings(n, edges, k, limit):
+    return _surjective_class_partitions(adjacency(n, edges), k, limit)
 
 
-def brute_surjective_class_partitions(g: SimpleGraph, k: int) -> set[Partition]:
+def brute_surjective_class_partitions(n, edges, k: int) -> set[Partition]:
     """Independent oracle: scan all k^n color maps."""
     found = set()
-    for colors in product(range(k), repeat=g.n):
-        if any(colors[u] == colors[v] for u, v in g.edges):
+    for colors in product(range(k), repeat=n):
+        if any(colors[u] == colors[v] for u, v in edges):
             continue
         if len(set(colors)) != k:
             continue
@@ -36,91 +28,68 @@ def brute_surjective_class_partitions(g: SimpleGraph, k: int) -> set[Partition]:
 def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
-        yield SimpleGraph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        yield [p for i, p in enumerate(pairs) if bits >> i & 1]
 
 
 def test_existence_and_uniqueness_match_brute_force():
     for n in range(1, 5):
-        for g in all_graphs(n):
+        for edges in all_graphs(n):
             for k in range(1, n + 1):
-                want = brute_surjective_class_partitions(g, k)
-                assert has_surjective_k_coloring(g, k) == bool(want)
-                got = unique_surjective_k_coloring(g, k)
-                if not want:
-                    assert got is None
-                elif len(want) == 1:
-                    assert got == next(iter(want))
-                else:
-                    assert got == MULTIPLE
+                want = brute_surjective_class_partitions(n, edges, k)
+                assert bool(colorings(n, edges, k, 1)) == bool(want)
+                assert len(colorings(n, edges, k, 2)) == min(len(want), 2)
+                # Without a limit every class partition comes out exactly once.
+                every = colorings(n, edges, k, len(want) + 1)
+                assert len(every) == len(want)
+                assert {Partition.from_labels(t) for t in every} == want
 
 
 def test_hand_examples():
-    two_star = graph(3, (0, 1), (0, 2))
-    assert has_surjective_k_coloring(two_star, 2)
+    two_star = [(0, 1), (0, 2)]
+    assert colorings(3, two_star, 2, 1)
     # Path 0-1-2 has the single surjective 2-coloring {{0,2},{1}}.
-    path = graph(3, (0, 1), (1, 2))
-    assert unique_surjective_k_coloring(path, 2) == Partition(3, ((0, 2), (1,)))
+    path = [(0, 1), (1, 2)]
+    assert colorings(3, path, 2, 2) == [(0, 1, 0)]
     # Empty graph on 3 vertices: several 2-colorings.
-    assert unique_surjective_k_coloring(graph(3), 2) == MULTIPLE
+    assert len(colorings(3, [], 2, 2)) == 2
     # Triangle needs all 3 colors, one way.
-    tri = graph(3, (0, 1), (0, 2), (1, 2))
-    assert unique_surjective_k_coloring(tri, 3) == Partition(3, ((0,), (1,), (2,)))
-    assert unique_surjective_k_coloring(tri, 2) is None
+    tri = [(0, 1), (0, 2), (1, 2)]
+    assert colorings(3, tri, 3, 2) == [(0, 1, 2)]
+    assert colorings(3, tri, 2, 2) == []
 
 
 def test_k_inseparable_examples():
-    g = graph(3, (0, 1), (0, 2))
+    g = [(0, 1), (0, 2)]
     # Both remaining colors are forced together.
-    assert k_inseparable(g, 2, 1, 2)
-    assert not k_inseparable(g, 2, 0, 1)
+    assert k_inseparable(3, g, 2, 1, 2)
+    assert not k_inseparable(3, g, 2, 0, 1)
     # Vacuous case: a triangle has no surjective 2-coloring at all.
-    tri = graph(3, (0, 1), (0, 2), (1, 2))
-    assert k_inseparable(tri, 2, 0, 1)
-    with pytest.raises(ValueError):
-        k_inseparable(g, 2, 1, 1)
+    tri = [(0, 1), (0, 2), (1, 2)]
+    assert k_inseparable(3, tri, 2, 0, 1)
 
 
 def test_k_inseparable_matches_brute_force():
     for n in range(2, 5):
-        for g in all_graphs(n):
+        for edges in all_graphs(n):
             for k in range(1, n + 1):
-                colorings = brute_surjective_class_partitions(g, k)
+                found = brute_surjective_class_partitions(n, edges, k)
                 for u in range(n):
                     for v in range(u + 1, n):
-                        want = all(p.same_cluster(u, v) == 1 for p in colorings)
-                        assert k_inseparable(g, k, u, v) == want
+                        want = all(p.same_cluster(u, v) == 1 for p in found)
+                        assert k_inseparable(n, edges, k, u, v) == want
 
 
 def test_inseparability_is_monotone_under_added_edges():
-    base = graph(4, (0, 1), (1, 2))
-    grown = base.with_edge(2, 3)
+    base = [(0, 1), (1, 2)]
+    grown = base + [(2, 3)]
     for k in (2, 3):
         for u in range(4):
             for v in range(u + 1, 4):
-                if k_inseparable(base, k, u, v):
-                    assert k_inseparable(grown, k, u, v)
+                if k_inseparable(4, base, k, u, v):
+                    assert k_inseparable(4, grown, k, u, v)
 
 
 def test_k_equals_n_always_unique():
     for n in range(1, 5):
-        for g in all_graphs(n):
-            got = unique_surjective_k_coloring(g, n)
-            assert got == Partition(n, tuple((i,) for i in range(n)))
-
-
-def test_edge_bound_on_uniquely_colorable_graphs():
-    path = graph(3, (0, 1), (1, 2))
-    assert unique_coloring_edge_bound_holds(path, 2)
-    # Star on 4 vertices: unique surjective 2-coloring, 3 edges >= 4*1-1.
-    star = graph(4, (0, 1), (0, 2), (0, 3))
-    assert unique_coloring_edge_bound_holds(star, 2)
-    with pytest.raises(ValueError):
-        unique_coloring_edge_bound_holds(graph(3), 2)  # not uniquely colorable
-    with pytest.raises(ValueError):
-        unique_coloring_edge_bound_holds(path, 3)  # k = n
-
-
-def test_graph_json_round_trip():
-    g = graph(3, (1, 2), (0, 1))
-    assert g.to_json_dict() == {"n": 3, "edges": [[0, 1], [1, 2]]}
-    assert SimpleGraph.from_json_dict(g.to_json_dict()) == g
+        for edges in all_graphs(n):
+            assert colorings(n, edges, n, 2) == [tuple(range(n))]

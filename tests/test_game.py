@@ -10,7 +10,6 @@ import pytest
 
 from liarclust import game
 from liarclust.bounds import adaptive_lower_bound_ceil, upper_bound_known
-from liarclust.coloring import SimpleGraph, k_inseparable
 from liarclust.game import (
     GameState,
     GameValueResult,
@@ -22,13 +21,13 @@ from liarclust.game import (
     exact_game_value,
     responder_answer,
 )
-from liarclust.instance import SignedInstance
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle
 from liarclust.partitions import Partition, enumerate_k_partitions, k_partition_label_tuples
+from references import SignedAnswers, k_inseparable
 
 
-def _reference_value(n: int, k: int, l: int, start: SignedInstance | None = None) -> int:
+def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None) -> int:
     """Plain memoized minimax straight from instance costs, no pruning.
 
     Kept deliberately separate from the production solver: no cost capping,
@@ -40,7 +39,7 @@ def _reference_value(n: int, k: int, l: int, start: SignedInstance | None = None
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     memo: dict = {}
 
-    def value(inst: SignedInstance) -> int:
+    def value(inst: SignedAnswers) -> int:
         live = [p for p in candidates if inst.cost(p) <= l]
         assert live, "reference reached an inconsistent instance"
         if len(live) == 1:
@@ -67,14 +66,14 @@ def _reference_value(n: int, k: int, l: int, start: SignedInstance | None = None
         memo[key] = best
         return best
 
-    return value(SignedInstance(n) if start is None else start)
+    return value(SignedAnswers(n) if start is None else start)
 
 
 def test_game_state_costs_match_instance_costs():
-    # The reference records the same answers into its own SignedInstance.
+    # The reference records the same answers into its own SignedAnswers.
     candidates = list(enumerate_k_partitions(4, 2))
     game = GameState(4, 2, 1)
-    reference = SignedInstance(4)
+    reference = SignedAnswers(4)
     for u, v, a in [(0, 1, -1), (0, 2, 1), (1, 3, -1), (0, 1, -1), (2, 3, 1)]:
         game.record(u, v, a)
         reference = reference.record_response(u, v, a)
@@ -113,19 +112,6 @@ def test_terminality_and_witness():
     relaxed.record(0, 2, -1)
     assert not relaxed.is_terminal()
     assert relaxed.unique_witness() is None
-
-
-def test_lookahead_count_agrees_with_recording():
-    game = GameState(4, 3, 1)
-    game.record(0, 1, -1)
-    game.record(2, 3, 1)
-    for u, v in [(0, 2), (1, 3), (0, 1)]:
-        for answer in (1, -1):
-            probe = GameState(4, 3, 1)
-            for hu, hv, ha in game.history:
-                probe.record(hu, hv, ha)
-            probe.record(u, v, answer)
-            assert game.lookahead_count(u, v, answer) == probe.consistent_count()
 
 
 def test_responder_base_trace_three_points():
@@ -208,7 +194,7 @@ def test_responder_keeps_zero_cost_explanation_in_base_mode():
 def _reference_adversary(n, k, l, pairs):
     """The responder's rule from first principles, independent of GameState.
 
-    Costs come from a SignedInstance over enumerate_k_partitions, the base
+    Costs come from a SignedAnswers over enumerate_k_partitions, the base
     answer from k_inseparable on the graph of negative answers, and the
     commitment from an explicit scan for the highest cost, first in
     canonical order on ties.  Plays pairs until one candidate is left and
@@ -216,7 +202,7 @@ def _reference_adversary(n, k, l, pairs):
     the committed partition and the final costs.
     """
     candidates = list(enumerate_k_partitions(n, k))
-    inst = SignedInstance(n)
+    inst = SignedAnswers(n)
     answers, switch, committed = [], None, None
 
     def survivors(after):
@@ -226,8 +212,7 @@ def _reference_adversary(n, k, l, pairs):
         if len(survivors(inst)) == 1:
             break
         if committed is None:
-            negative = SimpleGraph(n, inst.negative_pairs())
-            answer = 1 if k_inseparable(negative, k, u, v) else -1
+            answer = 1 if k_inseparable(n, inst.neg, k, u, v) else -1
             left = survivors(inst.record_response(u, v, answer))
             if len(left) == 1:
                 alive_after = {a: len(survivors(inst.record_response(u, v, a))) for a in (1, -1)}
@@ -341,7 +326,7 @@ def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
         solver = _MinimaxSolver(n, k, l, node_budget=1)
         seen = set()
         for _ in range(4):
-            inst = SignedInstance(n)
+            inst = SignedAnswers(n)
             costs = [0] * len(candidates)
             while sum(c <= l for c in costs) >= 2:
                 if tuple(costs) not in seen:

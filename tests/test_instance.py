@@ -1,15 +1,15 @@
-"""Signed instances: recording, disagreement cost, exact minimisation."""
+"""The signed-answer reference the game tests use: recording and disagreement cost."""
 
 from __future__ import annotations
 
 import pytest
 
-from liarclust.instance import MULTIPLE, SignedInstance
 from liarclust.partitions import Partition, enumerate_k_partitions, enumerate_partitions
+from references import SignedAnswers
 
 
 def build(n, pos=(), neg=()):
-    g = SignedInstance(n)
+    g = SignedAnswers(n)
     for u, v in pos:
         g = g.record_response(u, v, 1)
     for u, v in neg:
@@ -18,10 +18,10 @@ def build(n, pos=(), neg=()):
 
 
 def test_record_is_functional_and_accumulates():
-    g0 = SignedInstance(3)
+    g0 = SignedAnswers(3)
     g1 = g0.record_response(0, 1, -1)
     g2 = g1.record_response(1, 0, -1)
-    assert g0.total_weight() == 0
+    assert g0.pos == g0.neg == {}
     assert g1.neg == {(0, 1): 1}
     assert g2.neg == {(0, 1): 2}
     assert g1.pos == {}
@@ -62,68 +62,15 @@ def test_recording_changes_cost_by_zero_or_one():
                 assert (delta == 1) == (p.same_cluster(u, v) != ans)
 
 
-def test_cc_min_examples():
-    g = build(3, pos=[(0, 1)])
-    cost, witness = g.cc_min()
-    assert cost == 0
-    # First zero-cost partition in canonical order is the single cluster.
-    assert witness == Partition(3, ((0, 1, 2),))
-
-    cost_k, witness_k = g.cc_min_k(3)
-    assert cost_k == 1  # every 3-clustered partition of 3 elements splits (0,1)
-    assert witness_k == Partition(3, ((0,), (1,), (2,)))
-
-    assert g.cc_min()[0] <= g.cc_min_k(2)[0]
-
-
-def test_cc_min_k_validates_k():
-    g = SignedInstance(3)
-    with pytest.raises(ValueError):
-        g.cc_min_k(0)
-    with pytest.raises(ValueError):
-        g.cc_min_k(4)
-
-
-def test_is_consistent():
-    g = build(3, neg=[(0, 1), (0, 2), (1, 2)])
-    # Three mutual negatives cannot be explained by 2 clusters without cost.
-    assert not g.is_consistent(0, 2)
-    assert g.is_consistent(1, 2)
-    assert g.is_consistent(0, 3)
-
-
-def test_unique_consistency_witness_examples():
-    g = build(3, neg=[(0, 1), (0, 2)])
-    # Exactly one 2-clustered partition explains both negatives at zero cost.
-    assert g.unique_consistency_witness(0, 2) == Partition(3, ((0,), (1, 2)))
-
-    g2 = build(3, neg=[(0, 1)])
-    assert g2.unique_consistency_witness(0, 2) == MULTIPLE
-
-    g3 = build(3, neg=[(0, 1), (0, 2), (1, 2)])
-    assert g3.unique_consistency_witness(0, 2) is None
-
-    g4 = build(3, pos=[(1, 2)], neg=[(0, 1), (0, 2)])
-    assert g4.unique_consistency_witness(0, 2) == Partition(3, ((0,), (1, 2)))
-
-
 def test_truthful_answers_single_out_the_hidden_partition():
-    # Full truthful information is uniquely consistent at every budget the
-    # remaining candidates cannot absorb; at l=0 the witness is the source.
+    # Full truthful information leaves the source as the only zero-cost
+    # k-partition.
     for n in range(2, 6):
         for k in range(2, n + 1):
             for hidden in enumerate_k_partitions(n, k):
-                g = SignedInstance(n)
+                g = SignedAnswers(n)
                 for u in range(n):
                     for v in range(u + 1, n):
                         g = g.record_response(u, v, hidden.same_cluster(u, v))
-                assert g.cost(hidden) == 0
-                if k < n:
-                    assert g.unique_consistency_witness(0, k) == hidden
-
-
-def test_json_round_trip():
-    g = build(3, pos=[(1, 2)], neg=[(0, 2), (0, 2)])
-    data = g.to_json_dict()
-    assert data == {"n": 3, "pos": [[1, 2, 1]], "neg": [[0, 2, 2]]}
-    assert SignedInstance.from_json_dict(data) == g
+                zero = [p for p in enumerate_k_partitions(n, k) if g.cost(p) == 0]
+                assert zero == [hidden]

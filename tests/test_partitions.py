@@ -43,6 +43,8 @@ def test_counting_matches_frozen_tables():
     assert stirling2(0, 0) == 1
     assert stirling2(5, 0) == 0
     assert stirling2(3, 5) == 0
+    # S(n, 2) = 2^(n-1) - 1, at an n past the interpreter's recursion limit.
+    assert stirling2(1000, 2) == 2**999 - 1
 
 
 def test_enumeration_agrees_with_counting():
