@@ -1,22 +1,15 @@
-"""The adversarial same-cluster game.
+"""Exact values of the adversarial same-cluster game, by minimax search.
 
 A questioner repeatedly names a pair of elements; a responder answers +1
 (same cluster) or -1 (different), by any rule it likes, as long as some
 partition into exactly k clusters violates answers of total weight at most
 l.  The game ends when exactly one such partition remains: at that point
 the answers determine the partition even against l lies, so the number of
-queries played is exactly the cost of learning it.  This module provides
-
-  * GameState: the running record of one game, with one bitmask over the
-    candidate k-partitions per disagreement cost up to l, so recording an
-    answer and counting candidates are a few big-integer operations;
-  * responder_answer: the concrete adversary used by the oracle layer,
-    which answers "different" whenever some zero-cost explanation still
-    allows it and, when cornered, commits to an expensive alternative
-    explanation to drag the game out;
-  * exact_game_value: the game-theoretic value under optimal play on both
-    sides, by memoized alpha-beta search over capped cost vectors, cut and
-    ordered by the Renyi-Ulam volume bound.
+queries played is exactly the cost of learning it.  exact_game_value finds
+that number under optimal play on both sides, by memoized alpha-beta
+search over capped cost vectors, cut and ordered by the Renyi-Ulam volume
+bound.  One concrete responder, the adversary that the simulations play
+against, is AdversarialOracle in liarclust.oracles.
 
 The search caps every recorded cost at l+1: a partition past the lie budget
 is out of the game no matter how much further weight it collects.  A
@@ -43,14 +36,12 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-from functools import cache, reduce
-from operator import and_, getitem, itemgetter, or_
+from functools import cache
+from operator import itemgetter
 
 from .bounds import hamming_ball_volume
 from .limits import check_permutation_n
-from .partitions import Partition, k_partition_label_tuples, stirling2
-
-Pair = tuple[int, int]
+from .partitions import _join_masks, _pair_list, k_partition_label_tuples, stirling2
 
 _INF = 1 << 30
 
@@ -66,31 +57,6 @@ class SearchBudgetExceededError(RuntimeError):
         super().__init__(
             detail or f"game-value search exceeded its node budget after {nodes} nodes"
         )
-
-
-@cache
-def _pair_list(n: int) -> tuple[Pair, ...]:
-    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
-
-
-@cache
-def _label_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Per element x and label c: bitmask over k-partition indices with label c at x.
-
-    Each mask is read off one label column as a string of binary digits,
-    reversed so that the first k-partition is the lowest bit.
-    """
-    digits = [bytes.maketrans(bytes(range(k)), bytes(49 if d == c else 48 for d in range(k)))
-              for c in range(k)]
-    columns = [bytes(col)[::-1] for col in zip(*k_partition_label_tuples(n, k))]
-    return tuple(tuple(int(col.translate(t), 2) for t in digits) for col in columns)
-
-
-@cache
-def _join_masks(n: int, k: int) -> dict[Pair, int]:
-    """Per pair: bitmask over k-partition indices that put the pair together."""
-    masks = _label_masks(n, k)
-    return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 
 def _first_use_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
@@ -127,146 +93,6 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             t[j] = i
         tables.add(tuple(t))
     return tuple(sorted(tables))
-
-
-class GameState:
-    """One running game: parameters, the answer history and the cost levels.
-
-    Bit i of a mask stands for the i-th k-partition in canonical order, and
-    level j <= l is the mask of the candidates that violate exactly j
-    recorded answers.  Recording an answer moves the candidates it costs up
-    one level; a candidate past l is in no level, and its exact cost is
-    rebuilt from the history when asked for.
-    """
-
-    def __init__(self, n: int, k: int, l: int) -> None:
-        if not 0 < k <= n:
-            raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
-        if l < 0:
-            raise ValueError(f"lie budget must be nonnegative, got {l}")
-        self.n = n
-        self.k = k
-        self.l = l
-        self.history: list[tuple[int, int, int]] = []
-        self._labels = k_partition_label_tuples(n, k)
-        self._join = _join_masks(n, k)
-        self._all = (1 << len(self._labels)) - 1
-        self._lv = [self._all] + [0] * l
-
-    def _cost_from_history(self, labels: tuple[int, ...]) -> int:
-        return sum((labels[u] == labels[v]) != (a == 1) for u, v, a in self.history)
-
-    @property
-    def costs(self) -> tuple[int, ...]:
-        """Exact disagreement cost of every candidate k-partition, from the history."""
-        return tuple(map(self._cost_from_history, self._labels))
-
-    def cost_of(self, p: Partition) -> int:
-        if p.n != self.n or p.k != self.k:
-            raise ValueError(f"need a partition of {self.n} elements into k={self.k} clusters")
-        bit = reduce(and_, map(getitem, _label_masks(self.n, self.k), p.labels))
-        for cost, level in enumerate(self._lv):
-            if level & bit:
-                return cost
-        return self._cost_from_history(p.labels)
-
-    def min_cost(self) -> int:
-        for cost, level in enumerate(self._lv):
-            if level:
-                return cost
-        return min(self.costs)
-
-    def _join_of(self, u: int, v: int) -> int:
-        join = self._join.get((u, v) if u < v else (v, u))
-        if join is None:
-            raise ValueError(f"pair ({u}, {v}) invalid for n={self.n}")
-        return join
-
-    def _disagreeing(self, u: int, v: int, answer: int) -> int:
-        """Mask of the candidates that one more answer about (u, v) would cost."""
-        if answer not in (1, -1):
-            raise ValueError(f"answer must be +1 or -1, got {answer}")
-        join = self._join_of(u, v)
-        return self._all ^ join if answer == 1 else join
-
-    def _survivors(self, disagreeing: int) -> int:
-        """Mask of the candidates within budget after one more answer they disagree with."""
-        *below, top = self._lv
-        return reduce(or_, below, top & ~disagreeing)
-
-    def record(self, u: int, v: int, answer: int) -> None:
-        """Record one answer: the candidates it costs move up one level."""
-        d = self._disagreeing(u, v, answer)
-        lv = self._lv
-        for j in range(self.l, 0, -1):
-            lv[j] = (lv[j] & ~d) | (lv[j - 1] & d)
-        lv[0] &= ~d
-        self.history.append((u, v, answer))
-
-    def consistent_count(self) -> int:
-        """Number of k-partitions within the lie budget."""
-        return reduce(or_, self._lv).bit_count()
-
-    def is_terminal(self) -> bool:
-        return self.consistent_count() == 1
-
-    def unique_witness(self) -> Partition | None:
-        """The single partition within budget, when the game is over."""
-        alive = reduce(or_, self._lv)
-        if alive.bit_count() != 1:
-            return None
-        return Partition.from_labels(self._labels[alive.bit_length() - 1])
-
-
-@dataclass
-class ResponderState:
-    """Adversary bookkeeping: which regime it is in, and any commitment."""
-
-    mode: str = "base"  # "base" | "endgame"
-    committed_partition: Partition | None = None
-
-
-def responder_answer(resp: ResponderState, game: GameState, u: int, v: int) -> int:
-    """One answer from the adversarial responder; does not record it.
-
-    Base mode answers -1 unless every zero-cost explanation already forces
-    the pair together (k-inseparability in the graph of negative answers).
-    It reads that off the game's zero-cost level, which holds exactly the
-    surjective k-colorings of that graph as long as the game holds only
-    this responder's answers: a +1 was given only when every coloring
-    joined the pair.  Before committing a base answer that would leave
-    exactly one candidate within the lie budget, the responder looks for an
-    alternative partition within budget whose own answer keeps at least two
-    candidates alive; if one exists it commits to the highest-cost such
-    partition (first in canonical order on ties) and answers by it from
-    then on.  With l >= 1 a commitment candidate always survives the
-    aliveness check, so the switch always happens; with l = 0 the check can
-    fail, in which case the base answer stands and ends the game.
-    """
-    join = game._join_of(u, v)
-    if resp.mode == "endgame":
-        assert resp.committed_partition is not None
-        return resp.committed_partition.same_cluster(u, v)
-
-    split = game._all ^ join
-    levels = game._lv
-    base = -1 if levels[0] & split else 1
-    # The candidates whose own answer is the base answer, and the others.
-    base_side, other_side = (join, split) if base == 1 else (split, join)
-    witness = game._survivors(other_side)
-    # A candidate answering the base answer itself would leave only the
-    # witness alive too, so the alternatives come from the other side.
-    if witness.bit_count() == 1 and game._survivors(base_side).bit_count() >= 2:
-        eligible = other_side & ~witness
-        for level in reversed(levels):
-            best = level & eligible
-            if best:
-                resp.mode = "endgame"
-                resp.committed_partition = Partition.from_labels(
-                    game._labels[(best & -best).bit_length() - 1]
-                )
-                return resp.committed_partition.same_cluster(u, v)
-    return base
 
 
 @dataclass(frozen=True)
@@ -481,12 +307,15 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     more than node_budget positions or recurse past the interpreter's
     recursion limit, and, before any table is built, when l + 1 exceeds the
     byte that holds a capped cost; raises ExhaustionLimitError, also before
-    any table, when n is above the permutation cap.
+    any table, when n is above the permutation cap, and ValueError for a
+    negative node_budget.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if l < 0:
         raise ValueError(f"lie budget must be nonnegative, got {l}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if k in (1, n):
         # A single candidate is already uniquely determined.
         return GameValueResult(n, k, l, 0, 0)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from ..limits import check_enumeration_n
-from ..partitions import Partition, enumerate_k_partitions, enumerate_partitions
+from ..partitions import Partition, _pair_list, enumerate_k_partitions, enumerate_partitions
 
 Pair = tuple[int, int]
 
@@ -108,10 +108,6 @@ def int_triples(data, message: str) -> tuple[tuple[int, int, int], ...]:
     return tuple(tuple(t) for t in data)
 
 
-def _all_pairs(n: int) -> list[Pair]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def build_plan(n: int, k: int | None = None) -> QueryPlan:
     """The minimal nonadaptive plan for n elements and promised k clusters.
 
@@ -123,7 +119,7 @@ def build_plan(n: int, k: int | None = None) -> QueryPlan:
     if n < 2:
         raise ValueError(f"need at least two elements, got n={n}")
     if k is None:
-        queries = tuple((u, v, 1) for u, v in _all_pairs(n))
+        queries = tuple((u, v, 1) for u, v in _pair_list(n))
         return QueryPlan(n, None, queries)
     if not 2 <= k < n:
         raise ValueError(f"known-k plans need 2 <= k < n, got k={k}, n={n}")
@@ -133,12 +129,12 @@ def build_plan(n: int, k: int | None = None) -> QueryPlan:
     if k == 3 and n >= 5:
         half = (n + 1) // 2
         silent = {(i, half + i) for i in range(n - half)}
-        queries = tuple((u, v, 1) for u, v in _all_pairs(n) if (u, v) not in silent)
+        queries = tuple((u, v, 1) for u, v in _pair_list(n) if (u, v) not in silent)
         return QueryPlan(n, 3, queries)
     # k >= 4, and the one boundary case (n=4, k=3) where the same shape works:
     # ask everything except the single pair (n-2, n-1).
     silent_pair = (n - 2, n - 1)
-    queries = tuple((u, v, 1) for u, v in _all_pairs(n) if (u, v) != silent_pair)
+    queries = tuple((u, v, 1) for u, v in _pair_list(n) if (u, v) != silent_pair)
     return QueryPlan(n, k, queries)
 
 
@@ -264,33 +260,42 @@ def _surjective_class_partitions(adj: list[int], k: int, limit: int) -> list[tup
 
     adj[v] is the bitmask of v's neighbours.  Colors are opened in
     first-use order, so two colorings with the same color classes are never
-    both returned, and the search stops as soon as limit are found.
+    both returned, and the search stops as soon as limit are found.  The
+    backtracking path lives in lists, not on the call stack, so graphs of
+    any size are searched without recursion.
     """
     n = len(adj)
     out: list[tuple[int, ...]] = []
     labels = [0] * n
     members = [0] * k  # vertex bitmask per color
-
-    def extend(v: int, used: int) -> bool:
+    used = [0] * (n + 1)  # colors opened before vertex v
+    tried = [0] * n  # colors already tried at vertex v on the current path
+    v = 0
+    while v >= 0:
         if v == n:
-            if used == k:
+            if used[n] == k:
                 out.append(tuple(labels))
-            return len(out) >= limit
-        if n - v < k - used:
-            return False  # not enough vertices left to open the remaining colors
+            if len(out) >= limit:
+                break
+            v -= 1
+            continue
+        c = tried[v]
+        if c:
+            members[c - 1] &= ~(1 << v)
+        # No color at all when too few vertices are left to open the rest.
+        top = min(used[v] + 1, k) if n - v >= k - used[v] else 0
         av = adj[v]
-        for c in range(used + 1 if used < k else k):
-            if av & members[c]:
-                continue
-            labels[v] = c
-            members[c] |= 1 << v
-            done = extend(v + 1, used + 1 if c == used else used)
-            members[c] &= ~(1 << v)
-            if done:
-                return True
-        return False
-
-    extend(0, 0)
+        while c < top and av & members[c]:
+            c += 1
+        if c == top:
+            tried[v] = 0
+            v -= 1
+            continue
+        labels[v] = c
+        members[c] |= 1 << v
+        tried[v] = c + 1
+        used[v + 1] = used[v] + (c == used[v])
+        v += 1
     return out
 
 

@@ -5,7 +5,7 @@ an ``n``, a lie budget ``l``, a ``lies_used`` count, and ``verify_budget()``
 confirming the budget was respected.  The truthful oracle reads a hidden
 partition directly.  The random liar flips answers with a fixed probability
 until its budget runs out.  The adversary has no hidden partition at all:
-it plays the consistency game from ``liarclust.game``, answering however it
+it plays the consistency game of ``liarclust.game``, answering however it
 likes as long as some k-partition stays within the lie budget, which makes
 it a worst case for deterministic learners.
 """
@@ -13,9 +13,10 @@ it a worst case for deterministic learners.
 from __future__ import annotations
 
 import random
+from functools import reduce
+from operator import or_
 
-from .game import GameState, ResponderState, responder_answer
-from .partitions import Partition
+from .partitions import Partition, _join_masks, k_partition_label_tuples
 
 
 class TruthfulOracle:
@@ -71,49 +72,109 @@ class RandomLiarOracle:
 class AdversarialOracle:
     """Plays the consistency game; commits to a partition only when forced.
 
-    ``lies_used`` is the smallest number of recorded answers any candidate
-    k-partition disagrees with; once the game is over that is exactly the
-    disagreement count of the unique witness.  Every answer is checked
-    against the strategy's own invariants: in base mode some partition
-    explains the whole transcript for free, and after the endgame
-    commitment the committed partition's disagreement count never moves.
+    Bit i of a mask stands for the i-th k-partition in canonical order, and
+    level j <= l is the mask of the candidates that disagree with exactly j
+    answers given so far; a candidate past l is in no level.  Each answer
+    moves the candidates it costs up one level.
+
+    Before it commits, the oracle answers -1 unless every zero-cost
+    explanation already forces the pair together.  It reads that off level
+    0, which holds exactly the surjective k-colorings of the graph of its
+    negative answers: a +1 was given only when every coloring joined the
+    pair.  Before giving a base answer that would leave exactly one
+    candidate within the lie budget, it looks for an alternative candidate
+    within budget whose own answer keeps at least two candidates alive; if
+    one exists it commits to the first such candidate in canonical order,
+    whose cost is then always l, the highest within budget, and answers by
+    it from then on.  With l >= 1 a commitment candidate always survives
+    the aliveness check, so the switch always happens; with l = 0 the check
+    can fail, in which case the base answer stands and ends the game.
+
+    ``committed`` is the committed partition, or None before the switch.
+    ``lies_used`` is the smallest number of answers any candidate disagrees
+    with; once the game is over that is exactly the disagreement count of
+    the unique witness.  Every answer is checked against the strategy's own
+    invariants: before the commitment some candidate explains every answer
+    for free, and after it the committed candidate stays at level l.
     """
 
     kind = "adversary"
 
     def __init__(self, n: int, k: int, l: int) -> None:
+        if not 0 < k <= n:
+            raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+        if l < 0:
+            raise ValueError(f"lie budget must be nonnegative, got {l}")
         self.n = n
         self.k = k
         self.l = l
         self.hidden = None
-        self.game = GameState(n, k, l)
-        self.responder = ResponderState()
-        self._committed_cost: int | None = None
+        self.committed: Partition | None = None
+        self._labels = k_partition_label_tuples(n, k)
+        self._join = _join_masks(n, k)
+        self._all = (1 << len(self._labels)) - 1
+        self._lv = [self._all] + [0] * l
+        self._committed_bit = 0
+
+    def _survivors(self, costed: int) -> int:
+        """Mask of the candidates within budget after an answer that costs the costed ones."""
+        *below, top = self._lv
+        return reduce(or_, below, top & ~costed)
+
+    def _uncommitted_answer(self, join: int) -> int:
+        """The base answer for a pair with this join mask, or the first committed one."""
+        split = self._all ^ join
+        base = -1 if self._lv[0] & split else 1
+        # The candidates whose own answer is the base answer, and the others.
+        base_side, other_side = (join, split) if base == 1 else (split, join)
+        witness = self._survivors(other_side)
+        # A candidate answering the base answer itself would leave only the
+        # witness alive too, so the alternatives come from the other side.
+        # Every candidate below level l survives the base answer, so when
+        # only the witness does, every alternative is at level l.
+        if witness.bit_count() == 1 and self._survivors(base_side).bit_count() >= 2:
+            best = self._lv[self.l] & other_side & ~witness
+            if best:
+                self._committed_bit = bit = best & -best
+                self.committed = Partition.from_labels(self._labels[bit.bit_length() - 1])
+                return -base
+        return base
 
     def answer(self, u: int, v: int) -> int:
-        was_base = self.responder.mode == "base"
-        a = responder_answer(self.responder, self.game, u, v)
-        self.game.record(u, v, a)
-        if self.responder.mode == "base":
-            assert self.game.min_cost() == 0
+        join = self._join.get((u, v) if u < v else (v, u))
+        if join is None:
+            raise ValueError(f"pair ({u}, {v}) invalid for n={self.n}")
+        if self.committed is None:
+            a = self._uncommitted_answer(join)
         else:
-            committed = self.responder.committed_partition
-            assert committed.same_cluster(u, v) == a
-            cost = self.game.cost_of(committed)
-            if was_base:
-                self._committed_cost = cost
-            assert cost == self._committed_cost and cost <= self.l
+            a = 1 if join & self._committed_bit else -1
+        costed = self._all ^ join if a == 1 else join
+        lv = self._lv
+        for j in range(self.l, 0, -1):
+            lv[j] = (lv[j] & ~costed) | (lv[j - 1] & costed)
+        lv[0] &= ~costed
+        if self.committed is None:
+            assert lv[0], "no candidate explains every answer for free"
+        else:
+            assert lv[self.l] & self._committed_bit, "the committed candidate left level l"
         return a
 
     @property
     def lies_used(self) -> int:
-        return self.game.min_cost()
+        return next(cost for cost, level in enumerate(self._lv) if level)
+
+    def _alive(self) -> int:
+        return reduce(or_, self._lv)
 
     def is_terminal(self) -> bool:
-        return self.game.is_terminal()
+        return self._alive().bit_count() == 1
 
     def unique_witness(self) -> Partition | None:
-        return self.game.unique_witness()
+        """The single partition within budget, when the game is over."""
+        alive = self._alive()
+        if alive.bit_count() != 1:
+            return None
+        return Partition.from_labels(self._labels[alive.bit_length() - 1])
 
     def verify_budget(self) -> bool:
-        return self.game.min_cost() <= self.l
+        return any(self._lv)

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import and_, or_
 from typing import Iterable, Iterator
 
 from .limits import check_enumeration_n
+
+Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,27 @@ def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
         rows = [r + (c,) for r in rows for used in (max(r) + 1,) for c in range(min(used + 1, k))
                 if max(used, c + 1) + left >= k]
     return tuple(rows)
+
+
+def _pair_list(n: int) -> tuple[Pair, ...]:
+    """Every pair (u, v) with u < v over {0..n-1}, in lexicographic order."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+@cache
+def _join_masks(n: int, k: int) -> dict[Pair, int]:
+    """Per pair: bitmask over k-partition indices that put the pair together.
+
+    Bit i stands for the i-th label tuple of k_partition_label_tuples.  The
+    mask of label c at element x is read off x's label column as a string
+    of binary digits, reversed so that the first k-partition is the lowest
+    bit; a pair is joined where its two elements share a label.
+    """
+    digits = [bytes.maketrans(bytes(range(k)), bytes(49 if d == c else 48 for d in range(k)))
+              for c in range(k)]
+    columns = [bytes(col)[::-1] for col in zip(*k_partition_label_tuples(n, k))]
+    masks = [[int(col.translate(t), 2) for t in digits] for col in columns]
+    return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 
 def _stirling_row(n: int, k: int) -> list[int]:

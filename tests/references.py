@@ -3,7 +3,7 @@
 SignedAnswers keeps every answer about each pair as a weight, so the
 disagreement cost of a partition is a sum over the record, with no level
 masks.  k_inseparable asks the plan decoder's coloring search whether a
-pair can be split, without going through GameState.
+pair can be split, without going through the adversary's level masks.
 """
 
 from __future__ import annotations

@@ -135,6 +135,21 @@ def test_decode_reports_infeasible(capsys, tmp_path):
     assert "decode failed" in err
 
 
+def test_decode_of_a_large_plan_runs_without_recursion(capsys, tmp_path):
+    # Every star answer -1 leaves 1,100 singleton components to color.
+    code, out, _ = run_cli(capsys, "plan", "-n", "1100", "-k", "2")
+    assert code == 0
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(out)
+    answers_file = tmp_path / "answers.json"
+    answers_file.write_text(json.dumps([[u, v, -1] for u, v, _ in json.loads(out)["queries"]]))
+    code, out, err = run_cli(
+        capsys, "decode", "--plan-file", str(plan_file), "--answers-file", str(answers_file)
+    )
+    assert code == 0, err
+    assert json.loads(out) == {"n": 1100, "clusters": [[0], list(range(1, 1100))]}
+
+
 def test_game_value_json(capsys):
     code, out, _ = run_cli(capsys, "game-value", "-n", "4", "-k", "2")
     assert code == 0
@@ -149,6 +164,18 @@ def test_game_value_budget_failure(capsys):
     )
     assert code == 3
     assert "search gave up" in err
+
+
+def test_game_value_negative_budget_exits_two(capsys):
+    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "node budget" in err
+    # A zero budget is valid input: the search gives up at its first node.
+    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "--budget", "0")
+    assert code == 3
+    assert err.startswith("search gave up:")
 
 
 def test_game_value_too_deep_gives_up_on_one_line(capsys):

@@ -1,4 +1,4 @@
-"""Tests for the adversarial game: state tracking, responder, exact values."""
+"""Tests for the adversarial game: the adversary's levels and answers, exact values."""
 
 from __future__ import annotations
 
@@ -11,19 +11,20 @@ import pytest
 from liarclust import game
 from liarclust.bounds import adaptive_lower_bound_ceil, upper_bound_known
 from liarclust.game import (
-    GameState,
     GameValueResult,
-    ResponderState,
     SearchBudgetExceededError,
-    _join_masks,
     _MinimaxSolver,
     _relabel_tables,
     exact_game_value,
-    responder_answer,
 )
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle
-from liarclust.partitions import Partition, enumerate_k_partitions, k_partition_label_tuples
+from liarclust.partitions import (
+    Partition,
+    _join_masks,
+    enumerate_k_partitions,
+    k_partition_label_tuples,
+)
 from references import SignedAnswers, k_inseparable
 
 
@@ -69,47 +70,44 @@ def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None)
     return value(SignedAnswers(n) if start is None else start)
 
 
+def _capped_costs(oracle: AdversarialOracle) -> list[int]:
+    """Per candidate in canonical order: the adversary's level for it, l + 1 past budget."""
+    return [
+        next((c for c, level in enumerate(oracle._lv) if level >> i & 1), oracle.l + 1)
+        for i in range(len(oracle._labels))
+    ]
+
+
 def test_game_state_costs_match_instance_costs():
-    # The reference records the same answers into its own SignedAnswers.
+    # The reference records the adversary's answers into its own SignedAnswers.
     candidates = list(enumerate_k_partitions(4, 2))
-    game = GameState(4, 2, 1)
+    oracle = AdversarialOracle(4, 2, 1)
     reference = SignedAnswers(4)
-    for u, v, a in [(0, 1, -1), (0, 2, 1), (1, 3, -1), (0, 1, -1), (2, 3, 1)]:
-        game.record(u, v, a)
+    answers = []
+    for u, v in [(0, 1), (0, 2), (1, 3), (0, 1), (2, 3)]:
+        a = oracle.answer(u, v)
+        answers.append(a)
         reference = reference.record_response(u, v, a)
         want = [reference.cost(p) for p in candidates]
-        # Candidates past the lie budget are in no level: their exact cost
-        # comes from the history.
-        assert [game.cost_of(p) for p in candidates] == want
-        assert game.costs == tuple(want)
-        assert game.consistent_count() == sum(c <= 1 for c in want)
-        assert game.min_cost() == min(want)
-    assert max(game.costs) > 2
-    assert len(game.history) == 5
-
-    # Every candidate past the budget: the least cost still comes out exact.
-    torn = GameState(3, 2, 0)
-    for answer in (1, -1, -1):
-        torn.record(0, 1, answer)
-    assert torn.consistent_count() == 0
-    assert torn.min_cost() == 1
-    with pytest.raises(ValueError):
-        torn.cost_of(Partition(3, ((0,), (1,), (2,))))
-    with pytest.raises(ValueError):
-        torn.record(0, 1, 0)
+        # Candidates past the lie budget are in no level.
+        assert _capped_costs(oracle) == [min(c, 2) for c in want]
+        assert oracle.lies_used == min(want)
+    assert answers == [-1, -1, -1, -1, 1]
+    assert oracle.committed == Partition(4, ((0, 2, 3), (1,)))
+    assert max(reference.cost(p) for p in candidates) > 2
 
 
 def test_terminality_and_witness():
-    game = GameState(3, 2, 0)
-    game.record(0, 1, -1)
+    game = AdversarialOracle(3, 2, 0)
+    assert game.answer(0, 1) == -1
     assert not game.is_terminal()
-    game.record(0, 2, -1)
+    assert game.answer(0, 2) == -1
     assert game.is_terminal()
     assert game.unique_witness() == Partition(3, ((0,), (1, 2)))
 
-    relaxed = GameState(3, 2, 1)
-    relaxed.record(0, 1, -1)
-    relaxed.record(0, 2, -1)
+    relaxed = AdversarialOracle(3, 2, 1)
+    assert relaxed.answer(0, 1) == -1
+    assert relaxed.answer(0, 2) == -1
     assert not relaxed.is_terminal()
     assert relaxed.unique_witness() is None
 
@@ -117,13 +115,8 @@ def test_terminality_and_witness():
 def test_responder_base_trace_three_points():
     # With no lie budget the responder denies both (0,1) and (0,2); the
     # third pair is then forced together and the witness is {{0}, {1, 2}}.
-    game = GameState(3, 2, 0)
-    resp = ResponderState()
-    trace = []
-    for u, v in [(0, 1), (0, 2), (1, 2)]:
-        a = responder_answer(resp, game, u, v)
-        game.record(u, v, a)
-        trace.append(a)
+    game = AdversarialOracle(3, 2, 0)
+    trace = [game.answer(u, v) for u, v in [(0, 1), (0, 2), (1, 2)]]
     assert trace == [-1, -1, 1]
     assert game.unique_witness() == Partition(3, ((0,), (1, 2)))
 
@@ -131,75 +124,66 @@ def test_responder_base_trace_three_points():
 def test_responder_no_commitment_without_lie_budget():
     # At l = 0 the aliveness check rejects every alternative explanation, so
     # the base answer stands and the second query ends the game.
-    game = GameState(3, 2, 0)
-    resp = ResponderState()
-    assert responder_answer(resp, game, 1, 0) == -1
-    game.record(1, 0, -1)
-    assert responder_answer(resp, game, 2, 0) == -1
-    game.record(2, 0, -1)
-    assert resp.mode == "base"
+    game = AdversarialOracle(3, 2, 0)
+    assert game.answer(1, 0) == -1
+    assert game.answer(2, 0) == -1
+    assert game.committed is None
     assert game.is_terminal()
 
 
 def test_responder_commitment_with_one_lie():
     # Hand-rolled trace at n=3, k=2, l=1: the fourth answer must flip,
     # because recording a third denial would determine the partition.
-    game = GameState(3, 2, 1)
-    resp = ResponderState()
+    game = AdversarialOracle(3, 2, 1)
     queries = [(0, 1), (0, 1), (0, 2), (0, 2), (0, 2)]
-    answers = []
-    for u, v in queries:
-        a = responder_answer(resp, game, u, v)
-        game.record(u, v, a)
-        answers.append(a)
+    answers = [game.answer(u, v) for u, v in queries]
     assert answers == [-1, -1, -1, 1, 1]
-    assert resp.mode == "endgame"
-    assert resp.committed_partition == Partition(3, ((0, 2), (1,)))
+    assert game.committed == Partition(3, ((0, 2), (1,)))
     assert game.is_terminal()
-    assert game.unique_witness() == resp.committed_partition
+    assert game.unique_witness() == game.committed
     # The committed explanation stayed within the lie budget throughout.
-    assert game.cost_of(resp.committed_partition) == 1
+    reference = SignedAnswers(3)
+    for (u, v), a in zip(queries, answers):
+        reference = reference.record_response(u, v, a)
+    assert reference.cost(game.committed) == game.lies_used == 1
 
 
 def test_responder_endgame_answers_are_stable():
-    game = GameState(4, 2, 1)
-    resp = ResponderState()
+    game = AdversarialOracle(4, 2, 1)
     order = [(0, 1), (0, 1), (0, 2), (0, 2), (0, 3), (0, 3), (1, 2), (1, 2)]
     for u, v in order:
-        a = responder_answer(resp, game, u, v)
-        game.record(u, v, a)
-        if resp.mode == "endgame":
-            assert a == resp.committed_partition.same_cluster(u, v)
-    if resp.mode == "endgame":
-        committed = resp.committed_partition
-        for u, v in [(0, 1), (1, 3), (2, 3)]:
-            assert responder_answer(resp, game, u, v) == committed.same_cluster(u, v)
+        a = game.answer(u, v)
+        if game.committed is not None:
+            assert a == game.committed.same_cluster(u, v)
+    assert game.committed is not None
+    committed = game.committed
+    for u, v in [(0, 1), (1, 3), (2, 3)]:
+        assert game.answer(u, v) == committed.same_cluster(u, v)
+    assert game.committed == committed
 
 
 def test_responder_keeps_zero_cost_explanation_in_base_mode():
     # Invariant: while in base mode, some partition explains every answer.
     for n, k in [(3, 2), (4, 2), (4, 3), (5, 3)]:
-        game = GameState(n, k, 2)
-        resp = ResponderState()
+        game = AdversarialOracle(n, k, 2)
         for u in range(n):
             for v in range(u + 1, n):
-                if resp.mode != "base":
+                if game.committed is not None:
                     break
-                a = responder_answer(resp, game, u, v)
-                game.record(u, v, a)
-                if resp.mode == "base":
-                    assert game.min_cost() == 0, (n, k, u, v)
+                game.answer(u, v)
+                if game.committed is None:
+                    assert game.lies_used == 0, (n, k, u, v)
 
 
 def _reference_adversary(n, k, l, pairs):
-    """The responder's rule from first principles, independent of GameState.
+    """The adversary's rule from first principles, independent of its level masks.
 
     Costs come from a SignedAnswers over enumerate_k_partitions, the base
     answer from k_inseparable on the graph of negative answers, and the
     commitment from an explicit scan for the highest cost, first in
     canonical order on ties.  Plays pairs until one candidate is left and
-    returns the answers, the step that switched to the endgame (or None),
-    the committed partition and the final costs.
+    returns the answers, the step that committed (or None) and the
+    committed partition.
     """
     candidates = list(enumerate_k_partitions(n, k))
     inst = SignedAnswers(n)
@@ -229,20 +213,33 @@ def _reference_adversary(n, k, l, pairs):
             answer = committed.same_cluster(u, v)
         inst = inst.record_response(u, v, answer)
         answers.append(answer)
-    return answers, switch, committed, [inst.cost(p) for p in candidates]
+    return answers, switch, committed
 
 
 def _play_adversary(n, k, l, pairs):
+    """Play the adversary on pairs until the game is over.
+
+    After every answer each candidate's level must be its SignedAnswers
+    cost, capped at l + 1, and lies_used the least such cost.
+    """
+    candidates = list(enumerate_k_partitions(n, k))
     oracle = AdversarialOracle(n, k, l)
+    inst = SignedAnswers(n)
     answers, switch = [], None
     for step, (u, v) in enumerate(pairs):
         if oracle.is_terminal():
             break
-        answers.append(oracle.answer(u, v))
-        if switch is None and oracle.responder.mode == "endgame":
+        a = oracle.answer(u, v)
+        answers.append(a)
+        inst = inst.record_response(u, v, a)
+        costs = [inst.cost(p) for p in candidates]
+        assert _capped_costs(oracle) == [min(c, l + 1) for c in costs], (n, k, l, step)
+        assert oracle.lies_used == min(costs)
+        if switch is None and oracle.committed is not None:
             switch = step
+            assert inst.cost(oracle.committed) == l  # the only level alternatives sit at
     assert oracle.is_terminal(), (n, k, l)
-    return answers, switch, oracle.responder.committed_partition, list(oracle.game.costs)
+    return answers, switch, oracle.committed
 
 
 def test_adversary_matches_reference_responder():
@@ -265,12 +262,12 @@ def test_adversary_matches_reference_responder():
 
 
 def test_responder_rejects_bad_pair():
-    game = GameState(3, 2, 0)
-    resp = ResponderState()
-    with pytest.raises(ValueError):
-        responder_answer(resp, game, 0, 3)
-    with pytest.raises(ValueError):
-        responder_answer(resp, game, 1, 1)
+    game = AdversarialOracle(3, 2, 0)
+    for u, v in [(0, 3), (1, 1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            game.answer(u, v)
+    # A rejected pair leaves the game as it was.
+    assert _capped_costs(game) == [0, 0, 0]
 
 
 def test_exact_game_value_matches_plain_reference():
@@ -488,9 +485,8 @@ def test_relabel_tables_are_index_permutations():
         assert sorted(t) == list(range(size))
     # Symmetric positions canonicalize identically: denying (0,1) looks the
     # same as denying (2,3) once element names are forgotten.
-    a = GameState(4, 2, 1)
-    a.record(0, 1, -1)
-    b = GameState(4, 2, 1)
-    b.record(2, 3, -1)
+    candidates = list(enumerate_k_partitions(4, 2))
+    a = SignedAnswers(4).record_response(0, 1, -1)
+    b = SignedAnswers(4).record_response(2, 3, -1)
     canon = lambda s: min(tuple(s[i] for i in t) for t in tables)
-    assert canon(a.costs) == canon(b.costs)
+    assert canon([a.cost(p) for p in candidates]) == canon([b.cost(p) for p in candidates])

@@ -6,6 +6,7 @@ import pytest
 
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
+from references import SignedAnswers
 
 
 HIDDEN = Partition(5, ((0, 1, 2), (3,), (4,)))
@@ -88,11 +89,13 @@ def test_adversary_survives_cyclic_interrogation():
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         budget = (l + 2) * len(pairs) * (k + 2)
         asked = 0
+        record = SignedAnswers(n)
         while not oracle.is_terminal():
-            oracle.answer(*pairs[asked % len(pairs)])
+            u, v = pairs[asked % len(pairs)]
+            record = record.record_response(u, v, oracle.answer(u, v))
             asked += 1
             assert asked <= budget, f"game refused to end at {(n, k, l)}"
         assert oracle.verify_budget()
         witness = oracle.unique_witness()
         assert witness is not None and witness.k == k
-        assert oracle.lies_used == oracle.game.cost_of(witness) <= l
+        assert oracle.lies_used == record.cost(witness) <= l
