@@ -40,26 +40,24 @@ from .harness import (
     run_game,
     simulate,
 )
-from .learners import (
+from .learners.adaptive import (
+    Transcript,
+    insertion_cluster,
+    parallel_insertion,
+    randomized_insertion,
+    robust_insertion,
+    robustify,
+)
+from .learners.plans import (
     AmbiguousAnswersError,
     DecodeError,
     InfeasibleAnswersError,
     QueryPlan,
-    Transcript,
     build_plan,
     decode_plan,
-    insertion_cluster,
-    insertion_cluster_known_k,
     majority_decode,
-    parallel_insertion,
-    parallel_insertion_known_k,
     plan_decodable,
-    randomized_insertion,
-    randomized_insertion_known_k,
-    robust_insertion,
-    robust_insertion_known_k,
     robust_plan,
-    robustify,
     truthful_answers,
 )
 from .limits import ExhaustionLimitError, max_enumeration_n, max_permutation_n
@@ -114,7 +112,6 @@ __all__ = [
     "info_lower_bound_known",
     "info_lower_bound_unknown",
     "insertion_cluster",
-    "insertion_cluster_known_k",
     "liar_counting_feasible",
     "majority_decode",
     "max_enumeration_n",
@@ -122,13 +119,10 @@ __all__ = [
     "min_queries_liar_counting",
     "monte_carlo_expected",
     "parallel_insertion",
-    "parallel_insertion_known_k",
     "plan_decodable",
     "randomized_insertion",
-    "randomized_insertion_known_k",
     "random_k_partition",
     "robust_insertion",
-    "robust_insertion_known_k",
     "robust_plan",
     "robustify",
     "run_game",

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .bounds import build_bounds_report
-from .game import MAX_SOLVER_LIES, SearchBudgetExceededError, exact_game_value
+from .game import SearchBudgetExceededError, exact_game_value
 from .harness import (
     LEARNERS,
     ORACLE_KINDS,
@@ -51,10 +51,18 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
+def _load_json(path: str):
+    """Parse a JSON file; nesting too deep for the parser is bad input too."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to parse") from None
+
+
 def _load_plan(args) -> QueryPlan:
     if args.plan_file:
-        with open(args.plan_file, encoding="utf-8") as fh:
-            plan = QueryPlan.from_json_dict(json.load(fh))
+        plan = QueryPlan.from_json_dict(_load_json(args.plan_file))
     else:
         if args.n is None:
             raise ValueError("provide -n (and optionally -k), or --plan-file")
@@ -82,9 +90,9 @@ def cmd_simulate(args) -> int:
     try:
         writer = csv.writer(out)
         writer.writerow(["trial", "queries", "rounds", "lies_used", "correct"])
-        for row in result.rows:
+        for trial, row in enumerate(result.rows):
             writer.writerow(
-                [row.trial, row.queries, row.rounds, row.lies_used, str(row.correct).lower()]
+                [trial, row.queries, row.rounds, row.lies_used, str(row.correct).lower()]
             )
     finally:
         if args.output:
@@ -119,9 +127,9 @@ def cmd_check_plan(args) -> int:
 
 def cmd_decode(args) -> int:
     plan = _load_plan(args)
-    with open(args.answers_file, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    answers = int_triples(raw, "answers must be a JSON list of [u, v, sign] integer triples")
+    answers = int_triples(
+        _load_json(args.answers_file), "answers must be a JSON list of [u, v, sign] integer triples"
+    )
     try:
         if any(m != 1 for _, _, m in plan.queries):
             if args.lies is None:
@@ -140,8 +148,6 @@ def cmd_game_value(args) -> int:
     try:
         result = exact_game_value(args.n, args.k, args.lies, node_budget=args.budget)
     except SearchBudgetExceededError as exc:
-        if args.lies > MAX_SOLVER_LIES:
-            raise ValueError(str(exc)) from None  # an l the solver cannot represent
         print(f"search gave up: {exc}", file=sys.stderr)
         return 3
     _emit(result.to_json_dict())
@@ -266,10 +272,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -305,10 +305,9 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
 
     Raises SearchBudgetExceededError when the memoized search would expand
     more than node_budget positions or recurse past the interpreter's
-    recursion limit, and, before any table is built, when l + 1 exceeds the
-    byte that holds a capped cost; raises ExhaustionLimitError, also before
-    any table, when n is above the permutation cap, and ValueError for a
-    negative node_budget.
+    recursion limit.  Raises, before any table is built, ExhaustionLimitError
+    when n is above the permutation cap, and ValueError for a negative
+    node_budget or when l + 1 exceeds the byte that holds a capped cost.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
@@ -322,10 +321,9 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     if l > MAX_SOLVER_LIES:
         # Any two candidates must be told apart by 2l+1 answers, so the
         # search is at least that many queries deep.
-        raise SearchBudgetExceededError(
-            0,
+        raise ValueError(
             f"game-value search would be at least {2 * l + 1} queries deep, and its "
-            f"capped costs up to l + 1 = {l + 1} do not fit in a byte (l <= {MAX_SOLVER_LIES})",
+            f"capped costs up to l + 1 = {l + 1} do not fit in a byte (l <= {MAX_SOLVER_LIES})"
         )
     check_permutation_n(n)  # the solver builds one relabel table per permutation
     solver = _MinimaxSolver(n, k, l, node_budget)

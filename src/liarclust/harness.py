@@ -20,15 +20,11 @@ from .bounds import (
     upper_bound_unknown,
 )
 from .learners.adaptive import (
-    Transcript,
     _insertion_sweep,
     insertion_cluster,
-    insertion_cluster_known_k,
     parallel_insertion,
-    parallel_insertion_known_k,
     randomized_insertion,
-    randomized_insertion_known_k,
-    robust_insertion_known_k,
+    robust_insertion,
     robustify,
 )
 from .learners.plans import build_plan, plan_decodable, robust_plan
@@ -79,32 +75,19 @@ class LearnerSpec:
 LEARNERS: dict[str, LearnerSpec] = {}
 
 
-def _register(id, needs_k, robust, randomized, build):
-    LEARNERS[id] = LearnerSpec(id, needs_k, robust, randomized, build)
+def _register(id, robust, randomized, build):
+    """Register id, which builds with k=None, and id_k, which passes k on."""
+    LEARNERS[id] = LearnerSpec(id, False, robust, randomized, lambda n, k, s: build(n, None, s))
+    LEARNERS[id + "_k"] = LearnerSpec(id + "_k", True, robust, randomized, build)
 
 
-_register("insertion", False, False, False, lambda n, k, s: lambda o: insertion_cluster(n, o))
-_register(
-    "insertion_k", True, False, False, lambda n, k, s: lambda o: insertion_cluster_known_k(n, k, o)
-)
-_register(
-    "randomized", False, False, True, lambda n, k, s: lambda o: randomized_insertion(n, o, s)
-)
-_register(
-    "randomized_k",
-    True,
-    False,
-    True,
-    lambda n, k, s: lambda o: randomized_insertion_known_k(n, k, o, s),
-)
-_register("robust", False, True, False, lambda n, k, s: lambda o: insertion_cluster(n, o))
-_register(
-    "robust_k", True, True, False, lambda n, k, s: lambda o: insertion_cluster_known_k(n, k, o)
-)
-_register("parallel", False, False, False, lambda n, k, s: lambda o: parallel_insertion(n, o))
-_register(
-    "parallel_k", True, False, False, lambda n, k, s: lambda o: parallel_insertion_known_k(n, k, o)
-)
+for _row in (
+    ("insertion", False, False, lambda n, k, s: lambda o: insertion_cluster(n, o, k)),
+    ("randomized", False, True, lambda n, k, s: lambda o: randomized_insertion(n, o, s, k)),
+    ("robust", True, False, lambda n, k, s: lambda o: insertion_cluster(n, o, k)),
+    ("parallel", False, False, lambda n, k, s: lambda o: parallel_insertion(n, o, k)),
+):
+    _register(*_row)
 
 ORACLE_KINDS = ("truthful", "liar", "adversary")
 
@@ -184,7 +167,6 @@ def _fixed_partition(sizes) -> Partition:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    transcript: Transcript
     queries: int
     rounds: int
     lies_used: int
@@ -207,28 +189,15 @@ def run_game(learner, oracle, query_cap: int) -> RunOutcome:
         correct = oracle.is_terminal() and transcript.result == oracle.unique_witness()
     if not oracle.verify_budget():
         raise AssertionError("oracle exceeded its own lie budget")
-    return RunOutcome(
-        transcript=transcript,
-        queries=transcript.queries,
-        rounds=transcript.rounds,
-        lies_used=oracle.lies_used,
-        correct=correct,
-    )
-
-
-@dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    queries: int
-    rounds: int
-    lies_used: int
-    correct: bool
+    return RunOutcome(transcript.queries, transcript.rounds, oracle.lies_used, correct)
 
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One RunOutcome per trial, in trial order."""
+
     config: ExperimentConfig
-    rows: tuple[TrialRow, ...]
+    rows: tuple[RunOutcome, ...]
 
     @property
     def correct_fraction(self) -> float:
@@ -273,17 +242,7 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     cap = _query_cap(config)
     for trial in range(config.trials):
         oracle = _trial_oracle(config, trial)
-        learner = _trial_learner(config, trial)
-        outcome = run_game(learner, oracle, cap)
-        rows.append(
-            TrialRow(
-                trial=trial,
-                queries=outcome.queries,
-                rounds=outcome.rounds,
-                lies_used=outcome.lies_used,
-                correct=outcome.correct,
-            )
-        )
+        rows.append(run_game(_trial_learner(config, trial), oracle, cap))
     return SimulationResult(config=config, rows=tuple(rows))
 
 
@@ -448,7 +407,7 @@ def _audit_adaptive(n_range) -> list[AuditRow]:
             want_known = n * (k - 1) - comb(k, 2)
             oracle = AdversarialOracle(n, k, 0)
             got_known = run_game(
-                lambda o: insertion_cluster_known_k(n, k, o),
+                lambda o: insertion_cluster(n, o, k),
                 oracle,
                 4 * (want_known + 2),
             )
@@ -478,7 +437,7 @@ def _audit_robust(n_range, l_range) -> list[AuditRow]:
                 upper = upper_bound_known(n, k, l)
                 oracle = AdversarialOracle(n, k, l)
                 outcome = run_game(
-                    lambda o: robust_insertion_known_k(n, k, l, o),
+                    lambda o: robust_insertion(n, l, o, k),
                     oracle,
                     4 * (upper + 1),
                 )

@@ -1,49 +1,1 @@
 """Learning strategies: adaptive insertion learners and fixed query plans."""
-
-from .adaptive import (
-    Transcript,
-    insertion_cluster,
-    insertion_cluster_known_k,
-    parallel_insertion,
-    parallel_insertion_known_k,
-    randomized_insertion,
-    randomized_insertion_known_k,
-    robust_insertion,
-    robust_insertion_known_k,
-    robustify,
-)
-from .plans import (
-    AmbiguousAnswersError,
-    DecodeError,
-    InfeasibleAnswersError,
-    QueryPlan,
-    build_plan,
-    decode_plan,
-    majority_decode,
-    plan_decodable,
-    robust_plan,
-    truthful_answers,
-)
-
-__all__ = [
-    "AmbiguousAnswersError",
-    "DecodeError",
-    "InfeasibleAnswersError",
-    "QueryPlan",
-    "Transcript",
-    "build_plan",
-    "decode_plan",
-    "insertion_cluster",
-    "insertion_cluster_known_k",
-    "majority_decode",
-    "parallel_insertion",
-    "parallel_insertion_known_k",
-    "plan_decodable",
-    "randomized_insertion",
-    "randomized_insertion_known_k",
-    "robust_insertion",
-    "robust_insertion_known_k",
-    "robust_plan",
-    "robustify",
-    "truthful_answers",
-]

@@ -3,13 +3,13 @@
 Every learner here follows one scheme: keep a list of clusters found so
 far, take the next unplaced element, and compare it against one
 representative per existing cluster until a comparison comes back positive.
-Variants differ in the order elements are processed, in whether the number
-of clusters is known in advance (which saves all comparisons against the
-final cluster), and in whether the comparisons of one element-versus-everyone
-step are issued as a single parallel round.  Lie tolerance is one layer on
-top of any of them: robustify repeats each comparison until l+1 equal
-answers accumulate, which makes the result immune to l lies, and the robust
-learners are insertion under that layer.
+Variants differ in the order elements are processed and in whether the
+comparisons of one element-versus-everyone step are issued as a single
+parallel round.  Each takes the number of clusters k as an optional
+promise: given k, it skips all comparisons against the final cluster.
+Lie tolerance is one layer on top of any of them: robustify repeats each
+comparison until l+1 equal answers accumulate, which makes the result
+immune to l lies, and robust_insertion is insertion under that layer.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ class Transcript:
     @property
     def queries(self) -> int:
         return len(self.records)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "records": [list(r) for r in self.records],
-            "result": self.result.to_json_dict(),
-            "rounds": self.rounds,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Transcript":
-        records = tuple(tuple(int(x) for x in rec) for rec in data["records"])
-        return cls(records, Partition.from_json_dict(data["result"]), int(data["rounds"]))
 
 
 def _checked_answer(oracle, u: int, v: int) -> int:
@@ -95,51 +83,42 @@ def _insertion_sweep(n, oracle, order, k) -> Transcript:
     return Transcript(tuple(records), result, len(records))
 
 
-def insertion_cluster(n, oracle) -> Transcript:
-    """Place elements 0..n-1 in ascending order, opening clusters as needed."""
-    return _insertion_sweep(n, oracle, range(n), None)
+def insertion_cluster(n, oracle, k=None) -> Transcript:
+    """Place elements 0..n-1 in ascending order, opening clusters as needed.
 
-
-def insertion_cluster_known_k(n, k, oracle) -> Transcript:
-    """Insertion with the cluster count known: skips the last cluster's checks."""
+    With k given, once k clusters are open an element that the first k-1
+    reject joins the last one without a query.
+    """
     return _insertion_sweep(n, oracle, range(n), k)
 
 
-def randomized_insertion(n, oracle, seed) -> Transcript:
+def randomized_insertion(n, oracle, seed, k=None) -> Transcript:
     """Insertion over a uniformly random element order drawn from seed."""
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    return _insertion_sweep(n, oracle, order, None)
-
-
-def randomized_insertion_known_k(n, k, oracle, seed) -> Transcript:
     order = list(range(n))
     random.Random(seed).shuffle(order)
     return _insertion_sweep(n, oracle, order, k)
 
 
-def robust_insertion(n, l, oracle) -> Transcript:
+def robust_insertion(n, l, oracle, k=None) -> Transcript:
     """Insertion under robustify: every comparison repeats until l+1 equal answers."""
-    return robustify(lambda o: insertion_cluster(n, o), l)(oracle)
+    return robustify(lambda o: insertion_cluster(n, o, k), l)(oracle)
 
 
-def robust_insertion_known_k(n, k, l, oracle) -> Transcript:
-    return robustify(lambda o: insertion_cluster_known_k(n, k, o), l)(oracle)
+def parallel_insertion(n, oracle, k=None) -> Transcript:
+    """Cluster discovery in rounds: the representative queries everything unplaced.
 
-
-def _parallel_sweep(n, oracle, max_rounds) -> Transcript:
-    """One round per cluster: the representative queries everything unplaced.
-
-    With max_rounds set to k-1 the loop stops early and whatever remains
-    forms the final cluster without any queries.
+    One round per cluster found.  With k given the loop stops after k-1
+    rounds and whatever remains forms the final cluster without any queries.
     """
     if n < 1:
         raise ValueError(f"need at least one element, got n={n}")
+    if k is not None and not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     remaining = list(range(n))
     clusters: list[list[int]] = []
     records: list[tuple[int, int, int, int]] = []
     rounds = 0
-    while remaining and (max_rounds is None or rounds < max_rounds):
+    while remaining and (k is None or rounds < k - 1):
         rep = remaining[0]
         rest = remaining[1:]
         answers = [_checked_answer(oracle, rep, w) for w in rest]
@@ -152,18 +131,6 @@ def _parallel_sweep(n, oracle, max_rounds) -> Transcript:
         clusters.append(remaining)
     result = Partition(n, tuple(tuple(c) for c in clusters))
     return Transcript(tuple(records), result, rounds)
-
-
-def parallel_insertion(n, oracle) -> Transcript:
-    """Cluster discovery in rounds, one round per cluster found."""
-    return _parallel_sweep(n, oracle, None)
-
-
-def parallel_insertion_known_k(n, k, oracle) -> Transcript:
-    """Parallel discovery that stops after k-1 rounds; the rest is one cluster."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return _parallel_sweep(n, oracle, k - 1)
 
 
 class _RepeatUntilAgreement:

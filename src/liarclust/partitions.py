@@ -80,10 +80,6 @@ class Partition:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "clusters": [list(c) for c in self.clusters]}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Partition":
-        return cls(int(data["n"]), tuple(tuple(c) for c in data["clusters"]))
-
 
 def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All length-n restricted growth strings, lexicographically."""

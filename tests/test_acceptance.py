@@ -36,9 +36,7 @@ from liarclust.harness import (
 )
 from liarclust.learners.adaptive import (
     insertion_cluster,
-    insertion_cluster_known_k,
     robust_insertion,
-    robust_insertion_known_k,
     robustify,
 )
 from liarclust.learners.plans import (
@@ -83,7 +81,7 @@ def test_01_adversary_forces_exact_adaptive_worst_case():
             t0 = time.perf_counter()
             want = n * (k - 1) - comb(k, 2)
             got = run_game(
-                lambda o: insertion_cluster_known_k(n, k, o),
+                lambda o: insertion_cluster(n, o, k),
                 AdversarialOracle(n, k, 0),
                 4 * (want + 2),
             )
@@ -215,7 +213,7 @@ def test_05_adversary_pushes_robust_insertion_to_the_floor():
                 upper = upper_bound_known(n, k, l)
                 cap = 4 * (upper + 2) + 4 * (l + 1) * n
                 got = run_game(
-                    lambda o: robust_insertion_known_k(n, k, l, o),
+                    lambda o: robust_insertion(n, l, o, k),
                     AdversarialOracle(n, k, l),
                     cap,
                 )
@@ -254,8 +252,8 @@ def test_06_robust_learners_survive_random_lies():
                         failures.append(
                             f"unknown n={n} k={k} l={l} trial {trial}: {t.queries} > {cap_unknown}"
                         )
-                    t = robust_insertion_known_k(
-                        n, k, l, RandomLiarOracle(hidden, l, 0.25, seed=f"{stem}/k")
+                    t = robust_insertion(
+                        n, l, RandomLiarOracle(hidden, l, 0.25, seed=f"{stem}/k"), k
                     )
                     if t.result != hidden:
                         failures.append(f"known n={n} k={k} l={l} trial {trial}: wrong")
@@ -348,7 +346,7 @@ def test_08_repetition_overhead_is_capped():
     for n in range(2, 8):
         for k in range(2, n + 1):
             for l in range(4):
-                robust = robustify(lambda o: insertion_cluster_known_k(n, k, o), l)
+                robust = robustify(lambda o: insertion_cluster(n, o, k), l)
                 adversary = AdversarialOracle(n, k, l)
                 t = robust(adversary)
                 runs += 1

@@ -266,6 +266,11 @@ def test_malformed_files_exit_two(capsys, tmp_path):
         answers_file = tmp_path / f"answers-{i}.json"
         answers_file.write_text(json.dumps(answers))
         argvs.append(["decode", "-n", "4", "-k", "2", "--answers-file", str(answers_file)])
+    # JSON nested too deeply for the parser, as a plan and as answers.
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    argvs.append(["check-plan", "--plan-file", str(nested)])
+    argvs.append(["decode", "-n", "4", "-k", "2", "--answers-file", str(nested)])
     for argv in argvs:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv

@@ -18,8 +18,15 @@ from liarclust.harness import (
     run_game,
     simulate,
 )
-from liarclust.learners.adaptive import _insertion_sweep
-from liarclust.oracles import AdversarialOracle, TruthfulOracle
+from liarclust.learners.adaptive import (
+    _insertion_sweep,
+    insertion_cluster,
+    parallel_insertion,
+    randomized_insertion,
+    robust_insertion,
+    robustify,
+)
+from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
 
 
@@ -116,22 +123,43 @@ def test_config_validation():
 def test_run_game_query_cap():
     hidden = Partition(6, ((0, 1, 2), (3, 4, 5)))
     with pytest.raises(QueryBudgetExceededError):
-        run_game(
-            lambda o: __import__("liarclust.learners", fromlist=["x"]).insertion_cluster(6, o),
-            TruthfulOracle(hidden),
-            query_cap=2,
-        )
+        run_game(lambda o: insertion_cluster(6, o), TruthfulOracle(hidden), query_cap=2)
 
 
 def test_run_game_outcome_fields():
     oracle = AdversarialOracle(3, 2, 0)
-    from liarclust.learners import insertion_cluster
-
     outcome = run_game(lambda o: insertion_cluster(3, o), oracle, 100)
     assert outcome.queries == 3
     assert outcome.correct
     assert outcome.lies_used == 0
     assert outcome.rounds == 3
+
+
+def test_registry_entries_call_their_learner_with_k_or_none():
+    # Each "_k" entry runs its learner with k, each base entry with None.
+    n, k, l, seed = 7, 3, 1, "reg"
+    hidden = Partition(7, ((0, 4), (1, 2, 5), (3, 6)))
+    direct = {
+        "insertion": lambda kk, o: insertion_cluster(n, o, kk),
+        "randomized": lambda kk, o: randomized_insertion(n, o, seed, kk),
+        "robust": lambda kk, o: robust_insertion(n, l, o, kk),
+        "parallel": lambda kk, o: parallel_insertion(n, o, kk),
+    }
+    sources = [
+        lambda: TruthfulOracle(hidden),
+        lambda: RandomLiarOracle(hidden, l, 0.5, seed="reg/liar-a"),
+        lambda: RandomLiarOracle(hidden, l, 0.5, seed="reg/liar-b"),
+    ]
+    assert set(LEARNERS) == set(direct) | {f"{base}_k" for base in direct}
+    for spec in LEARNERS.values():
+        base = spec.id.removesuffix("_k")
+        assert spec.needs_k == spec.id.endswith("_k")
+        learner = spec.build(n, k, seed)
+        if spec.robust:
+            learner = robustify(learner, l)
+        for make in sources:
+            want = direct[base](k if spec.needs_k else None, make())
+            assert learner(make()) == want, spec.id
 
 
 def test_exact_expected_queries_matches_formula():

@@ -8,16 +8,11 @@ from math import comb
 import pytest
 
 from liarclust.learners.adaptive import (
-    Transcript,
     _insertion_sweep,
     insertion_cluster,
-    insertion_cluster_known_k,
     parallel_insertion,
-    parallel_insertion_known_k,
     randomized_insertion,
-    randomized_insertion_known_k,
     robust_insertion,
-    robust_insertion_known_k,
     robustify,
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
@@ -54,11 +49,11 @@ def test_truthful_recovery_every_partition():
             k = hidden.k
             runs = [
                 insertion_cluster(n, TruthfulOracle(hidden)),
-                insertion_cluster_known_k(n, k, TruthfulOracle(hidden)),
+                insertion_cluster(n, TruthfulOracle(hidden), k),
                 parallel_insertion(n, TruthfulOracle(hidden)),
-                parallel_insertion_known_k(n, k, TruthfulOracle(hidden)),
+                parallel_insertion(n, TruthfulOracle(hidden), k),
                 randomized_insertion(n, TruthfulOracle(hidden), seed=3),
-                randomized_insertion_known_k(n, k, TruthfulOracle(hidden), seed=3),
+                randomized_insertion(n, TruthfulOracle(hidden), 3, k),
             ]
             for t in runs:
                 assert t.result == hidden, (n, hidden)
@@ -72,26 +67,20 @@ def test_query_ceilings_against_truthful():
             known_cap = n * (k - 1) - comb(k, 2)
             assert insertion_cluster(n, TruthfulOracle(hidden)).queries <= unknown_cap
             assert parallel_insertion(n, TruthfulOracle(hidden)).queries <= unknown_cap
-            assert (
-                insertion_cluster_known_k(n, k, TruthfulOracle(hidden)).queries
-                <= known_cap
-            )
-            assert (
-                parallel_insertion_known_k(n, k, TruthfulOracle(hidden)).queries
-                <= known_cap
-            )
+            assert insertion_cluster(n, TruthfulOracle(hidden), k).queries <= known_cap
+            assert parallel_insertion(n, TruthfulOracle(hidden), k).queries <= known_cap
 
 
 def test_adversary_forces_known_counts():
     # Hand-checked worst-case totals against the game-playing adversary.
     cases = [
         (lambda: insertion_cluster(3, AdversarialOracle(3, 2, 0)), 3),
-        (lambda: insertion_cluster_known_k(3, 2, AdversarialOracle(3, 2, 0)), 2),
+        (lambda: insertion_cluster(3, AdversarialOracle(3, 2, 0), 2), 2),
         (lambda: insertion_cluster(4, AdversarialOracle(4, 2, 0)), 5),
-        (lambda: insertion_cluster_known_k(4, 2, AdversarialOracle(4, 2, 0)), 3),
-        (lambda: robust_insertion_known_k(3, 2, 1, AdversarialOracle(3, 2, 1)), 5),
-        (lambda: robust_insertion_known_k(4, 2, 1, AdversarialOracle(4, 2, 1)), 7),
-        (lambda: robust_insertion_known_k(3, 2, 2, AdversarialOracle(3, 2, 2)), 8),
+        (lambda: insertion_cluster(4, AdversarialOracle(4, 2, 0), 2), 3),
+        (lambda: robust_insertion(3, 1, AdversarialOracle(3, 2, 1), 2), 5),
+        (lambda: robust_insertion(4, 1, AdversarialOracle(4, 2, 1), 2), 7),
+        (lambda: robust_insertion(3, 2, AdversarialOracle(3, 2, 2), 2), 8),
     ]
     for run, expected in cases:
         assert run().queries == expected
@@ -100,7 +89,7 @@ def test_adversary_forces_known_counts():
 def test_adversary_runs_end_consistent():
     for n, k, l in [(3, 2, 0), (4, 2, 0), (4, 3, 0), (5, 3, 1), (5, 2, 2)]:
         oracle = AdversarialOracle(n, k, l)
-        t = robust_insertion_known_k(n, k, l, oracle)
+        t = robust_insertion(n, l, oracle, k)
         assert oracle.is_terminal()
         assert t.result == oracle.unique_witness()
         assert oracle.verify_budget()
@@ -114,7 +103,7 @@ def test_robust_recovery_under_every_single_lie_position():
         for flip_at in range(horizon):
             t = robust_insertion(4, 1, FlipOnce(hidden, flip_at))
             assert t.result == hidden, (hidden, flip_at, "unknown k")
-            t = robust_insertion_known_k(4, k, 1, FlipOnce(hidden, flip_at))
+            t = robust_insertion(4, 1, FlipOnce(hidden, flip_at), k)
             assert t.result == hidden, (hidden, flip_at, "known k")
 
 
@@ -159,10 +148,7 @@ def test_robustify_matches_direct_robust_learner():
         for l in range(3):
             for k in (None, 3):
                 liar = lambda: RandomLiarOracle(hidden, l, 0.5, seed=f"liar/{seed}/{l}")
-                if k is None:
-                    t = robust_insertion(7, l, liar())
-                else:
-                    t = robust_insertion_known_k(7, k, l, liar())
+                t = robust_insertion(7, l, liar(), k)
                 direct = _inline_robust_insertion(7, k, l, liar())
                 assert (t.records, t.rounds, t.result) == direct, (seed, l, k)
 
@@ -191,7 +177,7 @@ def test_parallel_rounds_count_clusters():
     t = parallel_insertion(5, TruthfulOracle(hidden))
     assert t.rounds == 3
     assert t.queries == 6
-    t = parallel_insertion_known_k(5, 3, TruthfulOracle(hidden))
+    t = parallel_insertion(5, TruthfulOracle(hidden), 3)
     assert t.rounds == 2
     assert t.queries == 6
     batch_sizes = {}
@@ -201,16 +187,9 @@ def test_parallel_rounds_count_clusters():
 
 
 def test_single_cluster_known_k_needs_no_queries():
-    t = insertion_cluster_known_k(4, 1, TruthfulOracle(Partition(4, ((0, 1, 2, 3),))))
+    t = insertion_cluster(4, TruthfulOracle(Partition(4, ((0, 1, 2, 3),))), 1)
     assert t.queries == 0
     assert t.result.k == 1
-
-
-def test_transcript_json_roundtrip():
-    t = insertion_cluster(3, AdversarialOracle(3, 2, 0))
-    again = Transcript.from_json_dict(t.to_json_dict())
-    assert again == t
-    assert again.queries == t.queries
 
 
 def test_learner_input_validation():
@@ -218,7 +197,11 @@ def test_learner_input_validation():
     with pytest.raises(ValueError):
         insertion_cluster(0, oracle)
     with pytest.raises(ValueError):
-        insertion_cluster_known_k(3, 4, oracle)
+        insertion_cluster(3, oracle, 4)
+    with pytest.raises(ValueError):
+        parallel_insertion(3, oracle, 4)
+    with pytest.raises(ValueError):
+        parallel_insertion(3, oracle, 0)
     with pytest.raises(ValueError):
         robust_insertion(3, -1, oracle)
     with pytest.raises(ValueError):
