@@ -16,7 +16,8 @@ import random
 from functools import reduce
 from operator import or_
 
-from .partitions import Partition, _join_masks, k_partition_label_tuples
+from .limits import check_enumeration_n
+from .partitions import Partition, _join_masks, _label_columns, stirling2
 
 
 class TruthfulOracle:
@@ -75,7 +76,9 @@ class AdversarialOracle:
     Bit i of a mask stands for the i-th k-partition in canonical order, and
     level j <= l is the mask of the candidates that disagree with exactly j
     answers given so far; a candidate past l is in no level.  Each answer
-    moves the candidates it costs up one level.
+    moves the candidates it costs up one level.  A candidate's labels are
+    read off the per-element label columns only to name it when committing
+    or as the witness; the enumeration cap is checked before any table.
 
     Before it commits, the oracle answers -1 unless every zero-cost
     explanation already forces the pair together.  It reads that off level
@@ -105,14 +108,15 @@ class AdversarialOracle:
             raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
         if l < 0:
             raise ValueError(f"lie budget must be nonnegative, got {l}")
+        check_enumeration_n(n)
         self.n = n
         self.k = k
         self.l = l
         self.hidden = None
         self.committed: Partition | None = None
-        self._labels = k_partition_label_tuples(n, k)
+        self._cols = _label_columns(n, k)
         self._join = _join_masks(n, k)
-        self._all = (1 << len(self._labels)) - 1
+        self._all = (1 << stirling2(n, k)) - 1
         self._lv = [self._all] + [0] * l
         self._committed_bit = 0
 
@@ -136,9 +140,12 @@ class AdversarialOracle:
             best = self._lv[self.l] & other_side & ~witness
             if best:
                 self._committed_bit = bit = best & -best
-                self.committed = Partition.from_labels(self._labels[bit.bit_length() - 1])
+                self.committed = self._candidate(bit)
                 return -base
         return base
+
+    def _candidate(self, bit: int) -> Partition:
+        return Partition.from_labels(col[bit.bit_length() - 1] for col in self._cols)
 
     def answer(self, u: int, v: int) -> int:
         join = self._join.get((u, v) if u < v else (v, u))
@@ -174,7 +181,7 @@ class AdversarialOracle:
         alive = self._alive()
         if alive.bit_count() != 1:
             return None
-        return Partition.from_labels(self._labels[alive.bit_length() - 1])
+        return self._candidate(alive)
 
     def verify_budget(self) -> bool:
         return any(self._lv)

@@ -121,21 +121,35 @@ def enumerate_k_partitions(n: int, k: int) -> Iterator[Partition]:
 
 
 @cache
-def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Label tuples of all k-clustered partitions, in canonical order; cached.
+def _label_columns(n: int, k: int) -> tuple[bytes, ...]:
+    """Per element, its label in each k-partition in canonical order, one byte each; cached.
 
-    Extends restricted growth strings one position at a time, in
-    lexicographic order, and drops a prefix as soon as the positions left
-    cannot open the labels it lacks.
+    A growth-string prefix's completions depend only on (positions left,
+    labels used), so each such state is built once, from the end back: its
+    first column repeats each allowed label, ascending, once per completion
+    of that child, and each later column joins the children's columns.
     """
     check_enumeration_n(n)
     if not 0 < k <= n:
         return ()
-    rows = [(0,)]
-    for left in range(n - 2, -1, -1):  # positions still to fill after the new one
-        rows = [r + (c,) for r in rows for used in (max(r) + 1,) for c in range(min(used + 1, k))
-                if max(used, c + 1) + left >= k]
-    return tuple(rows)
+    states = {k: (1, ())}  # labels used -> (completions, columns), `left` positions to fill
+    for left in range(1, n):
+        level = {}
+        for used in range(max(1, k - left), min(k, n - left) + 1):
+            kids = [(c, *states[max(used, c + 1)]) for c in range(min(used + 1, k))
+                    if max(used, c + 1) + left - 1 >= k]  # the rest can still open every label
+            first = b"".join(bytes([c]) * count for c, count, _ in kids)
+            rest = (b"".join(cols[i] for _, _, cols in kids) for i in range(left - 1))
+            level[used] = len(first), (first, *rest)
+        states = level
+    count, columns = states[1]
+    return (bytes(count), *columns)
+
+
+@cache
+def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Label tuples of all k-clustered partitions, in canonical order; cached."""
+    return tuple(zip(*_label_columns(n, k)))
 
 
 def _pair_list(n: int) -> tuple[Pair, ...]:
@@ -147,15 +161,14 @@ def _pair_list(n: int) -> tuple[Pair, ...]:
 def _join_masks(n: int, k: int) -> dict[Pair, int]:
     """Per pair: bitmask over k-partition indices that put the pair together.
 
-    Bit i stands for the i-th label tuple of k_partition_label_tuples.  The
-    mask of label c at element x is read off x's label column as a string
-    of binary digits, reversed so that the first k-partition is the lowest
-    bit; a pair is joined where its two elements share a label.
+    Bit i stands for the i-th k-partition in canonical order.  The mask of
+    label c at element x is read off x's label column from _label_columns
+    as a string of binary digits, reversed so that the first k-partition is
+    the lowest bit; a pair is joined where its two elements share a label.
     """
     digits = [bytes.maketrans(bytes(range(k)), bytes(49 if d == c else 48 for d in range(k)))
               for c in range(k)]
-    columns = [bytes(col)[::-1] for col in zip(*k_partition_label_tuples(n, k))]
-    masks = [[int(col.translate(t), 2) for t in digits] for col in columns]
+    masks = [[int(col[::-1].translate(t), 2) for t in digits] for col in _label_columns(n, k)]
     return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 

@@ -24,6 +24,7 @@ from liarclust.partitions import (
     _join_masks,
     enumerate_k_partitions,
     k_partition_label_tuples,
+    stirling2,
 )
 from references import SignedAnswers, k_inseparable
 
@@ -74,7 +75,7 @@ def _capped_costs(oracle: AdversarialOracle) -> list[int]:
     """Per candidate in canonical order: the adversary's level for it, l + 1 past budget."""
     return [
         next((c for c, level in enumerate(oracle._lv) if level >> i & 1), oracle.l + 1)
-        for i in range(len(oracle._labels))
+        for i in range(stirling2(oracle.n, oracle.k))
     ]
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from liarclust import oracles, partitions
+from liarclust.bounds import upper_bound_known
+from liarclust.harness import ExperimentConfig, simulate
+from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
 from references import SignedAnswers
@@ -99,3 +103,29 @@ def test_adversary_survives_cyclic_interrogation():
         witness = oracle.unique_witness()
         assert witness is not None and witness.k == k
         assert oracle.lies_used == record.cost(witness) <= l
+
+
+def test_adversary_checks_the_enumeration_cap_before_building_tables(monkeypatch):
+    # A shape that is already cached would skip the check inside the builders.
+    for table in (partitions._label_columns, partitions._join_masks,
+                  partitions.k_partition_label_tuples):
+        table.cache_clear()
+    monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
+    with pytest.raises(ExhaustionLimitError):
+        AdversarialOracle(6, 2, 1)
+
+    def unreachable(n, k):
+        raise AssertionError(f"label columns built for n={n} past the cap")
+
+    monkeypatch.setattr(partitions, "_label_columns", unreachable)
+    monkeypatch.setattr(oracles, "_label_columns", unreachable)
+    with pytest.raises(ExhaustionLimitError):
+        AdversarialOracle(6, 2, 1)
+
+
+def test_robust_learner_beats_the_adversary_at_the_enumeration_cap():
+    # n = 12 is the default cap; the adversary plays over S(12, 5) = 1,379,400 candidates.
+    config = ExperimentConfig(learner="robust_k", n=12, k=5, l=1, oracle="adversary", trials=1)
+    (row,) = simulate(config).rows
+    assert row.correct
+    assert row.queries == upper_bound_known(12, 5, 1) == 77

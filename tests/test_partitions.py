@@ -9,6 +9,7 @@ import pytest
 from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import (
     Partition,
+    _label_columns,
     _restricted_growth_strings,
     bell,
     enumerate_k_partitions,
@@ -132,6 +133,15 @@ def test_label_tuples_match_filtered_growth_strings():
         for k in range(n + 2):
             want = tuple(s for s in strings if max(s) == k - 1) if 0 < k <= n else ()
             assert k_partition_label_tuples(n, k) == want, (n, k)
+
+
+def test_label_columns_match_filtered_growth_strings():
+    for n in range(11):
+        strings = list(_restricted_growth_strings(n))
+        for k in range(n + 2):
+            rows = [s for s in strings if max(s) == k - 1] if 0 < k <= n else []
+            want = tuple(bytes(col) for col in zip(*rows))
+            assert _label_columns(n, k) == want, (n, k)
 
 
 def test_enumeration_limit_guard(monkeypatch):
