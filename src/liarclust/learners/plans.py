@@ -13,17 +13,21 @@ answers have merged elements into components, it properly colors the graph
 of negative answers between components, using every one of the promised
 k colors.  The decoder therefore returns the unique such coloring, and
 raises InfeasibleAnswersError when none exists or AmbiguousAnswersError
-when more than one does.
+when more than one does.  plan_decodable checks a plan for every hidden
+partition at once, over the candidates' label columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import eq
 
 from ..limits import check_enumeration_n
-from ..partitions import Partition, _pair_list, enumerate_k_partitions, enumerate_partitions
+from ..partitions import Partition, _label_columns, _pair_list
 
 Pair = tuple[int, int]
+
+_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class DecodeError(ValueError):
@@ -150,10 +154,10 @@ def truthful_answers(plan: QueryPlan, hidden: Partition) -> list[tuple[int, int,
     """The answer list a truthful source produces for this plan."""
     if hidden.n != plan.n:
         raise ValueError(f"partition is over {hidden.n} elements, plan over {plan.n}")
+    labels = hidden.labels
     out = []
     for u, v, m in plan.queries:
-        s = hidden.same_cluster(u, v)
-        out.extend([(u, v, s)] * m)
+        out.extend([(u, v, 1 if labels[u] == labels[v] else -1)] * m)
     return out
 
 
@@ -161,9 +165,8 @@ def _group_answers(plan: QueryPlan, answers) -> dict[Pair, list[int]]:
     """Bucket raw (u, v, sign) records per plan pair, validating coverage."""
     want = {(u, v): m for u, v, m in plan.queries}
     got: dict[Pair, list[int]] = {pair: [] for pair in want}
-    for item in answers:
-        u, v, s = item
-        key = (min(u, v), max(u, v))
+    for u, v, s in answers:
+        key = (u, v) if u < v else (v, u)
         if key not in want:
             raise ValueError(f"answer for pair {key} which the plan never asks")
         if s not in (1, -1):
@@ -202,7 +205,7 @@ def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
     grouped = _group_answers(plan, answers)
     signs = {}
     for pair, sgns in grouped.items():
-        pos = sum(1 for s in sgns if s == 1)
+        pos = sgns.count(1)
         neg = len(sgns) - pos
         if pos == neg:
             raise InfeasibleAnswersError(f"pair {pair} answered to an exact tie")
@@ -231,9 +234,10 @@ def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
     for (u, v), s in signs.items():
         if s == 1:
             parent[find(u)] = find(v)
-    component = Partition.from_labels(find(x) for x in range(plan.n))
-    comp_of = component.labels
-    adj = [0] * component.k
+    number: dict[int, int] = {}
+    comp_of = [number.setdefault(find(x), len(number)) for x in range(plan.n)]
+    k = len(number)
+    adj = [0] * k
     for (u, v), s in signs.items():
         if s == -1:
             a, b = comp_of[u], comp_of[v]
@@ -242,9 +246,9 @@ def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     if plan.k_mode is None:
-        if sum(m.bit_count() for m in adj) < component.k * (component.k - 1):
+        if sum(m.bit_count() for m in adj) < k * (k - 1):
             raise AmbiguousAnswersError("two groups are never told apart")
-        return component
+        return Partition.from_labels(comp_of)
     found = _surjective_class_partitions(adj, plan.k_mode, 2)
     if not found:
         raise InfeasibleAnswersError(
@@ -303,27 +307,33 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     """Whether the plan's answer vectors separate all its candidate partitions.
 
     Candidates are the k_mode-cluster partitions (or all partitions when
-    k_mode is None).  With lie tolerance l, separation means every two
-    candidates disagree on queries of total multiplicity more than 2l, so
-    no l lies can make one look like another.
+    k_mode is None), read off the label columns.  With lie tolerance l,
+    separation means every two candidates disagree on queries of total
+    multiplicity more than 2l, so no l lies can make one look like another.
+    Each candidate moves the others up levels of disagreement with it, by
+    each query's multiplicity, as the adversary moves its candidates.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
     check_enumeration_n(plan.n)
-    if plan.k_mode is None:
-        candidates = list(enumerate_partitions(plan.n))
-    else:
-        candidates = list(enumerate_k_partitions(plan.n, plan.k_mode))
-    pairs = plan.pairs()
-    mults = [m for _, _, m in plan.queries]
-    vectors = [tuple(p.same_cluster(u, v) for u, v in pairs) for p in candidates]
+    ks = range(1, plan.n + 1) if plan.k_mode is None else (plan.k_mode,)
+    cols = [b"".join(_label_columns(plan.n, k)[x] for k in ks) for x in range(plan.n)]
+    count = len(cols[0])
+    rows = [bytes(map(eq, cols[u], cols[v])) for u, v, _ in plan.queries]
     if l == 0:
-        return len(set(vectors)) == len(vectors)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            distance = sum(
-                m for m, x, y in zip(mults, vectors[i], vectors[j]) if x != y
-            )
-            if distance <= 2 * l:
-                return False
+        return len(set(zip(*rows))) == count if rows else count == 1
+    # One bit per candidate, the first candidate lowest, as in _join_masks.
+    joins = [(int(row[::-1].translate(_BINARY_DIGITS), 2), m)
+             for row, (_, _, m) in zip(rows, plan.queries)]
+    everyone = (1 << count) - 1
+    top = 2 * l
+    for i in range(count):
+        bit = 1 << i
+        lv = [everyone ^ bit] + [0] * top  # the other candidates, by disagreement with candidate i
+        for join, m in joins:
+            costed = everyone ^ join if join & bit else join
+            for j in range(top, -1, -1):
+                lv[j] = (lv[j] & ~costed) | (lv[j - m] & costed if j >= m else 0)
+        if any(lv):
+            return False
     return True

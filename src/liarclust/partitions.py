@@ -2,10 +2,10 @@
 
 A Partition is stored canonically: elements sorted inside each cluster,
 clusters sorted by their smallest element.  Enumeration walks restricted
-growth strings, which visits every partition exactly once and in an order
-that tests elsewhere rely on ("canonical enumeration order").  Counting is
-done independently of enumeration via the usual recurrences, so each side
-can audit the other.
+growth strings, or their cached label columns for k clusters, which visits
+every partition once and in an order that tests elsewhere rely on
+("canonical enumeration order").  Counting is done independently of
+enumeration via the usual recurrences, so each side can audit the other.
 """
 
 from __future__ import annotations
@@ -112,12 +112,10 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 def enumerate_k_partitions(n: int, k: int) -> Iterator[Partition]:
     """Every partition with exactly k clusters, in canonical enumeration order."""
     check_enumeration_n(n)
-    if not 0 <= k <= n:
-        return
-    target = k - 1
-    for labels in _restricted_growth_strings(n):
-        if (max(labels) if labels else -1) == target:
-            yield Partition.from_labels(labels)
+    if n == k == 0:
+        yield Partition(0, ())
+    for labels in zip(*_label_columns(n, k)):
+        yield Partition.from_labels(labels)
 
 
 @cache

@@ -4,14 +4,25 @@ SignedAnswers keeps every answer about each pair as a weight, so the
 disagreement cost of a partition is a sum over the record, with no level
 masks.  k_inseparable asks the plan decoder's coloring search whether a
 pair can be split, without going through the adversary's level masks.
+k_partitions filters every restricted growth string, so it reads none of
+the label columns that the package enumerates k-partitions from.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from liarclust.learners.plans import _surjective_class_partitions
-from liarclust.partitions import Partition
+from liarclust.partitions import Partition, _restricted_growth_strings
 
 Pair = tuple[int, int]
+
+
+def k_partitions(n: int, k: int) -> Iterator[Partition]:
+    """Every partition of {0..n-1} into exactly k clusters, in canonical order."""
+    for labels in _restricted_growth_strings(n):
+        if (max(labels) if labels else -1) == k - 1:
+            yield Partition.from_labels(labels)
 
 
 class SignedAnswers:

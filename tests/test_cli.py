@@ -106,6 +106,14 @@ def test_plan_and_check_plan(capsys, tmp_path):
     assert code == 0
 
 
+def test_check_plan_at_the_enumeration_cap(capsys):
+    # S(12, 2) = 2,047 candidates at the default cap, and Bell(8) = 4,140 under one lie.
+    for argv in (["-n", "12", "-k", "2"], ["-n", "8", "--robust", "1", "-l", "1"]):
+        code, out, _ = run_cli(capsys, "check-plan", *argv)
+        assert code == 0, argv
+        assert json.loads(out)["decodable"] is True, argv
+
+
 def test_decode_round_trip(capsys, tmp_path):
     from liarclust.learners.plans import build_plan, truthful_answers
     from liarclust.partitions import Partition

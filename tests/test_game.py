@@ -22,11 +22,10 @@ from liarclust.oracles import AdversarialOracle
 from liarclust.partitions import (
     Partition,
     _join_masks,
-    enumerate_k_partitions,
     k_partition_label_tuples,
     stirling2,
 )
-from references import SignedAnswers, k_inseparable
+from references import SignedAnswers, k_inseparable, k_partitions
 
 
 def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None) -> int:
@@ -37,7 +36,7 @@ def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None)
     the raw signed instance.  Slow but obviously faithful to the game
     definition.  The game starts from start, or from no answers.
     """
-    candidates = list(enumerate_k_partitions(n, k))
+    candidates = list(k_partitions(n, k))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     memo: dict = {}
 
@@ -81,7 +80,7 @@ def _capped_costs(oracle: AdversarialOracle) -> list[int]:
 
 def test_game_state_costs_match_instance_costs():
     # The reference records the adversary's answers into its own SignedAnswers.
-    candidates = list(enumerate_k_partitions(4, 2))
+    candidates = list(k_partitions(4, 2))
     oracle = AdversarialOracle(4, 2, 1)
     reference = SignedAnswers(4)
     answers = []
@@ -179,14 +178,14 @@ def test_responder_keeps_zero_cost_explanation_in_base_mode():
 def _reference_adversary(n, k, l, pairs):
     """The adversary's rule from first principles, independent of its level masks.
 
-    Costs come from a SignedAnswers over enumerate_k_partitions, the base
+    Costs come from a SignedAnswers over k_partitions, the base
     answer from k_inseparable on the graph of negative answers, and the
     commitment from an explicit scan for the highest cost, first in
     canonical order on ties.  Plays pairs until one candidate is left and
     returns the answers, the step that committed (or None) and the
     committed partition.
     """
-    candidates = list(enumerate_k_partitions(n, k))
+    candidates = list(k_partitions(n, k))
     inst = SignedAnswers(n)
     answers, switch, committed = [], None, None
 
@@ -223,7 +222,7 @@ def _play_adversary(n, k, l, pairs):
     After every answer each candidate's level must be its SignedAnswers
     cost, capped at l + 1, and lies_used the least such cost.
     """
-    candidates = list(enumerate_k_partitions(n, k))
+    candidates = list(k_partitions(n, k))
     oracle = AdversarialOracle(n, k, l)
     inst = SignedAnswers(n)
     answers, switch = [], None
@@ -319,7 +318,7 @@ def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
     # most the reference value, so cutting on it loses no line of play.
     checked = 0
     for n, k, l in [(3, 2, 2), (4, 2, 1), (4, 3, 1)]:
-        candidates = list(enumerate_k_partitions(n, k))
+        candidates = list(k_partitions(n, k))
         pairs = list(itertools.combinations(range(n), 2))
         solver = _MinimaxSolver(n, k, l, node_budget=1)
         seen = set()
@@ -480,13 +479,13 @@ def test_join_masks_match_a_bit_by_bit_build():
 
 def test_relabel_tables_are_index_permutations():
     tables = _relabel_tables(4, 2)
-    size = len(list(enumerate_k_partitions(4, 2)))
+    size = len(list(k_partitions(4, 2)))
     assert tuple(range(size)) in tables
     for t in tables:
         assert sorted(t) == list(range(size))
     # Symmetric positions canonicalize identically: denying (0,1) looks the
     # same as denying (2,3) once element names are forgotten.
-    candidates = list(enumerate_k_partitions(4, 2))
+    candidates = list(k_partitions(4, 2))
     a = SignedAnswers(4).record_response(0, 1, -1)
     b = SignedAnswers(4).record_response(2, 3, -1)
     canon = lambda s: min(tuple(s[i] for i in t) for t in tables)

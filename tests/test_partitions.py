@@ -18,6 +18,7 @@ from liarclust.partitions import (
     random_k_partition,
     stirling2,
 )
+from references import k_partitions
 
 # Frozen reference counts (standard tables, written down before the code).
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -133,6 +134,12 @@ def test_label_tuples_match_filtered_growth_strings():
         for k in range(n + 2):
             want = tuple(s for s in strings if max(s) == k - 1) if 0 < k <= n else ()
             assert k_partition_label_tuples(n, k) == want, (n, k)
+
+
+def test_k_partitions_match_filtered_growth_strings():
+    for n in range(9):
+        for k in range(-1, n + 2):
+            assert list(enumerate_k_partitions(n, k)) == list(k_partitions(n, k)), (n, k)
 
 
 def test_label_columns_match_filtered_growth_strings():

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
 
+from liarclust import partitions
+from liarclust.learners import plans
 from liarclust.learners.plans import (
     AmbiguousAnswersError,
     InfeasibleAnswersError,
@@ -18,12 +21,14 @@ from liarclust.learners.plans import (
     robust_plan,
     truthful_answers,
 )
+from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import (
     Partition,
     enumerate_k_partitions,
     enumerate_partitions,
     random_k_partition,
 )
+from references import k_partitions
 
 
 def test_plan_shapes_and_sizes():
@@ -234,13 +239,18 @@ def test_query_plan_validation_and_json():
     )
 
 
+def _reference_candidates(plan):
+    if plan.k_mode is None:
+        return enumerate_partitions(plan.n)
+    return k_partitions(plan.n, plan.k_mode)
+
+
 def _reference_decode(plan, answers):
     """Brute force: the one candidate that fits every answer, else the error class."""
-    if plan.k_mode is None:
-        candidates = enumerate_partitions(plan.n)
-    else:
-        candidates = enumerate_k_partitions(plan.n, plan.k_mode)
-    fits = [p for p in candidates if all(p.same_cluster(u, v) == s for u, v, s in answers)]
+    fits = [
+        p for p in _reference_candidates(plan)
+        if all(p.same_cluster(u, v) == s for u, v, s in answers)
+    ]
     if not fits:
         return InfeasibleAnswersError
     if len(fits) > 1:
@@ -286,3 +296,67 @@ def test_plan_decodable_respects_multiplicity():
     assert not plan_decodable(robust_plan(plan, 1), l=2)
     with pytest.raises(ValueError):
         plan_decodable(plan, l=-1)
+
+
+def _reference_decodable(plan, l):
+    """Brute force: every two candidates' answers differ in total multiplicity above 2l."""
+    vectors = [
+        [p.same_cluster(u, v) for u, v, _ in plan.queries] for p in _reference_candidates(plan)
+    ]
+    weights = [m for _, _, m in plan.queries]
+    return all(
+        sum(m for m, x, y in zip(weights, a, b) if x != y) > 2 * l
+        for a, b in combinations(vectors, 2)
+    )
+
+
+def test_plan_decodable_matches_pairwise_distances():
+    # Counted apart: with and without lies, and only where the plan has more
+    # than one candidate to tell apart.
+    rng = random.Random("pairwise-distances")
+    verdicts = {(lies, ok): 0 for lies in (False, True) for ok in (False, True)}
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        k_mode = rng.choice([None, *range(1, n + 1)])
+        density = rng.choice([1.0, rng.random()])
+        queries = tuple(
+            (u, v, rng.randint(1, 5))
+            for u, v in combinations(range(n), 2)
+            if rng.random() < density
+        )
+        plan = QueryPlan(n, k_mode, queries)
+        l = rng.randint(0, 2)
+        want = _reference_decodable(plan, l)
+        assert plan_decodable(plan, l) == want, (plan, l)
+        if k_mode not in (1, n):
+            verdicts[l > 0, want] += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_plan_decodable_edge_cases():
+    for n in range(2, 7):
+        for k_mode in [None, *range(1, n + 1)]:
+            # With no queries only a plan with one candidate is decodable.
+            assert plan_decodable(QueryPlan(n, k_mode, ()), 0) == (k_mode in (1, n)), (n, k_mode)
+    one_candidate = [QueryPlan(4, 1, ()), QueryPlan(4, 4, ((0, 1, 1), (2, 3, 2)))]
+    for plan in one_candidate:
+        for l in range(6):
+            assert plan_decodable(plan, l), (plan, l)
+
+
+def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
+    plan = build_plan(6, 2)
+    partitions._label_columns.cache_clear()
+    monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
+    for l in (0, 1):
+        with pytest.raises(ExhaustionLimitError):
+            plan_decodable(plan, l)
+
+    def unreachable(n, k):
+        raise AssertionError(f"label columns built for n={n} past the cap")
+
+    monkeypatch.setattr(partitions, "_label_columns", unreachable)
+    monkeypatch.setattr(plans, "_label_columns", unreachable)
+    for l in (0, 1):
+        with pytest.raises(ExhaustionLimitError):
+            plan_decodable(plan, l)
