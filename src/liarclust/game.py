@@ -17,8 +17,10 @@ position is a bytes object with one capped cost per candidate, so l is at
 most MAX_SOLVER_LIES; it is read through per-level masks, and a child
 position is one big-integer addition away.  Positions are identified up to
 relabeling of the ground set: the key is the least image of the position
-under one operator.itemgetter per relabel table, memoized per raw position
-for the life of one search.
+under the relabel tables, one operator.itemgetter each.  Only the tables
+that move a least-cost candidate to the front can give the least image, so
+only those are applied.  Keys are memoized per raw position for the life of
+one search.
 
 Berlekamp's volume bound (see A. Pelc, "Searching games with errors - fifty
 years of coping with liars", TCS 2002) is the least q for which the live
@@ -33,7 +35,6 @@ with the higher bound is searched first.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -59,40 +60,44 @@ class SearchBudgetExceededError(RuntimeError):
         )
 
 
-def _first_use_labels(labels: tuple[int, ...]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for x in labels:
-        if x not in seen:
-            seen[x] = len(seen)
-        out.append(seen[x])
-    return tuple(out)
-
-
 @cache
 def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """Index permutations of the k-partition list induced by relabeling {0..n-1}.
 
     For table t, the state vector of the relabeled position is
-    (cost[t[0]], cost[t[1]], ...); taking the minimum over all tables gives a
-    canonical key for positions that differ only by element names.
+    (cost[t[0]], cost[t[1]], ...); the least such vector over all tables is
+    a canonical key for positions that differ only by element names.  The
+    tables form a group, generated by the n - 1 swaps of adjacent elements,
+    so they are built as the closure of those generators under composition.
     """
     labels = k_partition_label_tuples(n, k)
     index_of = {lab: i for i, lab in enumerate(labels)}
-    tables: set[tuple[int, ...]] = set()
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, x in enumerate(perm):
-            inv[x] = i
-        forward = [
-            index_of[_first_use_labels(tuple(lab[inv[u]] for u in range(n)))]
-            for lab in labels
-        ]
-        t = [0] * len(labels)
-        for i, j in enumerate(forward):
-            t[j] = i
-        tables.add(tuple(t))
+
+    def swap(lab: tuple[int, ...], i: int) -> int:
+        names: dict[int, int] = {}
+        lab = (*lab[:i], lab[i + 1], lab[i], *lab[i + 2:])
+        return index_of[tuple(names.setdefault(x, len(names)) for x in lab)]
+
+    gens = [itemgetter(*(swap(lab, i) for lab in labels)) for i in range(n - 1)]
+    tables = frontier = {tuple(range(len(labels)))}
+    while frontier:
+        frontier = {gen(t) for t in frontier for gen in gens} - tables
+        tables = tables | frontier
     return tuple(sorted(tables))
+
+
+@cache
+def _relabel_groups(n: int, k: int) -> tuple[itemgetter, tuple[tuple[itemgetter, ...], ...]]:
+    """The relabel tables as getters, grouped by the candidate each moves to index 0.
+
+    Returns one getter over the groups' sources, in group order, and each
+    group's getters.  For 1 < k < n the candidates in the orbit of
+    candidate 0 number at least n, so the sources' getter returns a tuple.
+    """
+    groups: dict[int, list[itemgetter]] = {}
+    for t in _relabel_tables(n, k):
+        groups.setdefault(t[0], []).append(itemgetter(*t))
+    return itemgetter(*groups), tuple(map(tuple, groups.values()))
 
 
 @dataclass(frozen=True)
@@ -125,7 +130,7 @@ class _MinimaxSolver:
         self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
         self.live_table = bytes(c <= l for c in range(256))
         self.join = [self._spread(_join_masks(n, k)[p]) for p in _pair_list(n)]
-        self.getters = [itemgetter(*t) for t in _relabel_tables(n, k)]
+        self.sources, self.groups = _relabel_groups(n, k)
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
@@ -166,9 +171,17 @@ class _MinimaxSolver:
         return lb
 
     def _canon(self, s: bytes) -> bytes:
+        """The least image of s under the relabel tables, memoized.
+
+        Only the tables whose source holds the least cost can win: every
+        other table puts a larger first byte in front.
+        """
         key = self.keys.get(s)
         if key is None:
-            key = self.keys[s] = bytes(min([g(s) for g in self.getters]))
+            firsts = self.sources(s)
+            m = min(firsts)
+            images = [g(s) for f, group in zip(firsts, self.groups) if f == m for g in group]
+            key = self.keys[s] = bytes(min(images))
         return key
 
     def _children(self, s: bytes, pi: int) -> list[tuple[int, int, bytes, tuple[int, ...]]]:

@@ -74,9 +74,6 @@ class QueryPlan:
     def total_queries(self) -> int:
         return sum(m for _, _, m in self.queries)
 
-    def pairs(self) -> tuple[Pair, ...]:
-        return tuple((u, v) for u, v, _ in self.queries)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,

@@ -48,12 +48,19 @@ class Partition:
 
     @classmethod
     def from_labels(cls, labels: Iterable[int]) -> "Partition":
-        """Build from a cluster-id sequence indexed by element."""
+        """Build from a cluster-id sequence indexed by element.
+
+        Grouping elements by label in order of first use yields the canonical
+        form directly, so the constructor's sort and checks are skipped.
+        """
         labels = tuple(labels)
         groups: dict[int, list[int]] = {}
         for x, lab in enumerate(labels):
             groups.setdefault(lab, []).append(x)
-        return cls(len(labels), tuple(tuple(g) for g in groups.values()))
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", len(labels))
+        object.__setattr__(out, "clusters", tuple(map(tuple, groups.values())))
+        return out
 
     @cached_property
     def labels(self) -> tuple[int, ...]:

@@ -5,11 +5,15 @@ disagreement cost of a partition is a sum over the record, with no level
 masks.  k_inseparable asks the plan decoder's coloring search whether a
 pair can be split, without going through the adversary's level masks.
 k_partitions filters every restricted growth string, so it reads none of
-the label columns that the package enumerates k-partitions from.
+the label columns that the package enumerates k-partitions from, and
+relabel_tables applies every permutation of the elements to every
+k-partition, where the solver closes the adjacent swaps under composition.
 """
 
 from __future__ import annotations
 
+import itertools
+from functools import cache
 from typing import Iterator
 
 from liarclust.learners.plans import _surjective_class_partitions
@@ -23,6 +27,25 @@ def k_partitions(n: int, k: int) -> Iterator[Partition]:
     for labels in _restricted_growth_strings(n):
         if (max(labels) if labels else -1) == k - 1:
             yield Partition.from_labels(labels)
+
+
+@cache
+def relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Index permutations of the k-partitions induced by each relabeling of {0..n-1}.
+
+    Table t sends the position with costs c to (c[t[0]], c[t[1]], ...): t[j]
+    is the candidate that the relabeling moves to index j.  Sorted, one per
+    distinct table; cached.
+    """
+    candidates = list(k_partitions(n, k))
+    index_of = {p: i for i, p in enumerate(candidates)}
+    tables = set()
+    for perm in itertools.permutations(range(n)):
+        t = [0] * len(candidates)
+        for i, p in enumerate(candidates):
+            t[index_of[Partition.from_labels(p.labels[u] for u in perm)]] = i
+        tables.add(tuple(t))
+    return tuple(sorted(tables))
 
 
 class SignedAnswers:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import itemgetter
 
 import pytest
 
@@ -25,7 +26,7 @@ from liarclust.partitions import (
     k_partition_label_tuples,
     stirling2,
 )
-from references import SignedAnswers, k_inseparable, k_partitions
+from references import SignedAnswers, k_inseparable, k_partitions, relabel_tables
 
 
 def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None) -> int:
@@ -361,11 +362,17 @@ def test_exact_game_value_validates_input():
         exact_game_value(3, 2, -1)
 
 
-def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatch):
+def _forbid_relabel_tables(monkeypatch) -> None:
+    """Make building the relabel tables, or their cached getters, fail."""
     def no_tables(n, k):
         raise AssertionError(f"relabel tables built for n={n}, k={k}")
 
     monkeypatch.setattr(game, "_relabel_tables", no_tables)
+    monkeypatch.setattr(game, "_relabel_groups", no_tables)
+
+
+def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatch):
+    _forbid_relabel_tables(monkeypatch)
     # Single-candidate cells return before the solver, whatever n is.
     assert exact_game_value(12, 12, 1) == GameValueResult(12, 12, 1, 0, 0)
     assert exact_game_value(12, 1, 0) == GameValueResult(12, 1, 0, 0, 0)
@@ -420,24 +427,38 @@ def test_exact_game_value_pins_values_and_node_counts():
 
 
 def test_exact_game_values_past_five_elements():
-    # Values the volume bound made cheap, each inside its closed-form bounds.
-    # (6,4,1) = 20 and (6,5,1) = 29 take minutes and are listed in the README.
-    values = {(6, 2, 1): 9, (6, 2, 2): 12, (6, 3, 1): 14, (7, 2, 1): 10}
-    for (n, k, l), value in values.items():
-        got = exact_game_value(n, k, l).value
-        assert got == value, (n, k, l, got)
+    # (value, nodes) of cells the volume bound and the first-byte canonical
+    # keys made cheap, each value inside its closed-form bounds.  (6,4,1) is
+    # the largest search here, a few seconds; (6,5,1) = 29 takes longer and
+    # is listed in the README.
+    pinned = {
+        (6, 2, 1): (9, 38),
+        (6, 2, 2): (12, 298),
+        (6, 3, 1): (14, 429),
+        (7, 2, 1): (10, 87),
+        (6, 4, 1): (20, 10312),
+    }
+    for (n, k, l), (value, nodes) in pinned.items():
+        got = exact_game_value(n, k, l)
+        assert (got.value, got.nodes) == (value, nodes), (n, k, l, got)
         assert adaptive_lower_bound_ceil(n, k, l) <= value <= upper_bound_known(n, k, l)
+
+
+def test_relabel_tables_match_every_permutation():
+    for n in range(3, 7):
+        for k in range(2, n):
+            assert _relabel_tables(n, k) == relabel_tables(n, k), (n, k)
 
 
 def test_solver_canonical_key_is_the_least_relabeling():
     rng = random.Random(20231)
-    for n, k in [(4, 2), (5, 3)]:
-        tables = _relabel_tables(n, k)
+    for n, k in [(4, 2), (5, 3), (6, 3), (6, 4)]:
+        tables = relabel_tables(n, k)
         for l in range(3):
             solver = _MinimaxSolver(n, k, l, node_budget=1)
             for _ in range(40):
                 s = bytes(rng.randint(0, l + 1) for _ in range(len(tables[0])))
-                want = min(tuple(s[i] for i in t) for t in tables)
+                want = min(itemgetter(*t)(s) for t in tables)
                 assert tuple(solver._canon(s)) == want, (n, k, l, s)
                 assert tuple(solver._canon(s)) == want  # memoized key
 
@@ -446,10 +467,7 @@ def test_too_deep_searches_give_up_with_the_budget_error(monkeypatch):
     with pytest.raises(SearchBudgetExceededError, match="recursion limit"):
         exact_game_value(3, 2, 250)
 
-    def no_tables(n, k):
-        raise AssertionError(f"relabel tables built for n={n}, k={k}")
-
-    monkeypatch.setattr(game, "_relabel_tables", no_tables)
+    _forbid_relabel_tables(monkeypatch)
     # Costs up to l + 1 = 256 do not fit the solver's bytes: bad input, not
     # a search that gave up.
     with pytest.raises(ValueError, match="at least 511 queries deep"):

@@ -80,6 +80,23 @@ def test_canonical_form_is_input_order_independent():
     assert hash(a) == hash(b)
 
 
+def test_from_labels_matches_the_validating_constructor():
+    # from_labels skips the constructor's sort and checks; it must build the
+    # same canonical partition from any labels, growth strings or not.
+    rng = random.Random(7)
+    cases = [(), (0,), (2, 0, 2, 1), (5, 5, 5), (3, 1, 2, 0)]
+    cases += [tuple(rng.randrange(-2, 6) for _ in range(rng.randrange(1, 9))) for _ in range(300)]
+    for labels in cases:
+        clusters: dict[int, list[int]] = {}
+        for x, lab in enumerate(labels):
+            clusters.setdefault(lab, []).append(x)
+        want = Partition(len(labels), tuple(tuple(reversed(c)) for c in reversed(clusters.values())))
+        got = Partition.from_labels(iter(labels))
+        assert got == want and hash(got) == hash(want), labels
+        assert got.clusters == want.clusters and got.labels == want.labels, labels
+    assert Partition.from_labels((2, 0, 2, 1)).clusters == ((0, 2), (1,), (3,))
+
+
 def test_validation_rejects_bad_partitions():
     with pytest.raises(ValueError):
         Partition(3, ((0, 1),))  # misses 2
