@@ -42,10 +42,10 @@ class QueryBudgetExceededError(RuntimeError):
 
 
 class _CountingOracle:
-    """Delegates to an oracle while enforcing a hard query cap."""
+    """The query cap: refuses any query past cap; learners check that answers are +1 or -1."""
 
     def __init__(self, oracle, cap: int) -> None:
-        self._oracle = oracle
+        self._answer = oracle.answer
         self.n = oracle.n
         self.cap = cap
         self.queries = 0
@@ -54,7 +54,7 @@ class _CountingOracle:
         if self.queries >= self.cap:
             raise QueryBudgetExceededError(self.cap)
         self.queries += 1
-        return self._oracle.answer(u, v)
+        return self._answer(u, v)
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,8 @@ def run_game(learner, oracle, query_cap: int) -> RunOutcome:
     """
     counting = _CountingOracle(oracle, query_cap)
     transcript = learner(counting)
-    assert transcript.queries == counting.queries
+    if transcript.queries != counting.queries:
+        raise AssertionError("transcript and oracle disagree on the query count")
     if oracle.hidden is not None:
         correct = transcript.result == oracle.hidden
     else:

@@ -3,13 +3,13 @@
 Every learner here follows one scheme: keep a list of clusters found so
 far, take the next unplaced element, and compare it against one
 representative per existing cluster until a comparison comes back positive.
-Variants differ in the order elements are processed and in whether the
-comparisons of one element-versus-everyone step are issued as a single
-parallel round.  Each takes the number of clusters k as an optional
-promise: given k, it skips all comparisons against the final cluster.
-Lie tolerance is one layer on top of any of them: robustify repeats each
-comparison until l+1 equal answers accumulate, which makes the result
-immune to l lies, and robust_insertion is insertion under that layer.
+Variants differ in element order and in whether one element-versus-everyone
+step is a single parallel round.  Given the optional cluster count k, a
+learner skips all comparisons against the final cluster.  Lie tolerance is
+one layer on top: robustify repeats each comparison until l+1 equal answers
+agree, which makes the result immune to l lies.  The sweeps and that layer
+each reject an answer other than +1 or -1 before recording it or asking
+again; a query cap, if any, is the caller's (harness.run_game enforces one).
 """
 
 from __future__ import annotations
@@ -38,11 +38,8 @@ class Transcript:
         return len(self.records)
 
 
-def _checked_answer(oracle, u: int, v: int) -> int:
-    s = oracle.answer(u, v)
-    if s not in (1, -1):
-        raise ValueError(f"oracle returned {s!r} for ({u}, {v}), expected +1 or -1")
-    return s
+def _bad_answer(s, u: int, v: int) -> ValueError:
+    return ValueError(f"oracle returned {s!r} for ({u}, {v}), expected +1 or -1")
 
 
 def _insertion_sweep(n, oracle, order, k) -> Transcript:
@@ -61,26 +58,25 @@ def _insertion_sweep(n, oracle, order, k) -> Transcript:
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
-    clusters: list[list[int]] = []
+    answer = oracle.answer
+    asked = n if k is None else k - 1  # representatives an element is compared with
+    reps: list[int] = []
+    labels = [0] * n
     records: list[tuple[int, int, int, int]] = []
     for v in order:
-        limit = len(clusters) if k is None else min(len(clusters), k - 1)
-        placed = False
-        for idx in range(limit):
-            u = clusters[idx][0]
-            sign = _checked_answer(oracle, v, u)
-            records.append((v, u, sign, len(records)))
-            if sign == 1:
-                clusters[idx].append(v)
-                placed = True
+        for idx, u in enumerate(reps[:asked]):
+            s = answer(v, u)
+            if s != 1 and s != -1:
+                raise _bad_answer(s, v, u)
+            records.append((v, u, s, len(records)))
+            if s == 1:
+                labels[v] = idx
                 break
-        if not placed:
-            if k is not None and len(clusters) == k:
-                clusters[-1].append(v)
-            else:
-                clusters.append([v])
-    result = Partition(n, tuple(tuple(c) for c in clusters))
-    return Transcript(tuple(records), result, len(records))
+        else:
+            if k is None or len(reps) < k:
+                reps.append(v)
+            labels[v] = len(reps) - 1
+    return Transcript(tuple(records), Partition.from_labels(labels), len(records))
 
 
 def insertion_cluster(n, oracle, k=None) -> Transcript:
@@ -114,18 +110,21 @@ def parallel_insertion(n, oracle, k=None) -> Transcript:
         raise ValueError(f"need at least one element, got n={n}")
     if k is not None and not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    answer = oracle.answer
     remaining = list(range(n))
     clusters: list[list[int]] = []
     records: list[tuple[int, int, int, int]] = []
     rounds = 0
     while remaining and (k is None or rounds < k - 1):
-        rep = remaining[0]
-        rest = remaining[1:]
-        answers = [_checked_answer(oracle, rep, w) for w in rest]
-        for w, s in zip(rest, answers):
+        rep, *rest = remaining
+        clusters.append([rep])
+        remaining = []
+        for w in rest:
+            s = answer(rep, w)
+            if s != 1 and s != -1:
+                raise _bad_answer(s, rep, w)
             records.append((rep, w, s, rounds))
-        clusters.append([rep] + [w for w, s in zip(rest, answers) if s == 1])
-        remaining = [w for w, s in zip(rest, answers) if s == -1]
+            (clusters[-1] if s == 1 else remaining).append(w)
         rounds += 1
     if remaining:
         clusters.append(remaining)
@@ -137,24 +136,27 @@ class _RepeatUntilAgreement:
     """Oracle adapter that repeats each incoming query until l+1 equal answers."""
 
     def __init__(self, oracle, l: int, records: list) -> None:
-        self._oracle = oracle
+        self._answer = oracle.answer
         self.n = oracle.n
-        self._l = l
+        self._need = l + 1
         self._records = records
 
     def answer(self, u: int, v: int) -> int:
+        answer, records, need = self._answer, self._records, self._need
         pos = neg = 0
         while True:
-            s = _checked_answer(self._oracle, u, v)
-            self._records.append((u, v, s, len(self._records)))
+            s = answer(u, v)
             if s == 1:
                 pos += 1
-                if pos == self._l + 1:
-                    return 1
-            else:
+            elif s == -1:
                 neg += 1
-                if neg == self._l + 1:
-                    return -1
+            else:
+                raise _bad_answer(s, u, v)
+            records.append((u, v, s, len(records)))
+            if pos == need:
+                return 1
+            if neg == need:
+                return -1
 
 
 def robustify(learner, l: int):

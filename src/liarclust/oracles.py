@@ -27,11 +27,14 @@ class TruthfulOracle:
 
     def __init__(self, hidden: Partition) -> None:
         self.hidden = hidden
+        self._labels = hidden.labels
         self.n = hidden.n
         self.l = 0
         self.lies_used = 0
 
     def answer(self, u: int, v: int) -> int:
+        if u != v and 0 <= u < self.n and 0 <= v < self.n:
+            return 1 if self._labels[u] == self._labels[v] else -1
         return self.hidden.same_cluster(u, v)
 
     def verify_budget(self) -> bool:
@@ -53,6 +56,7 @@ class RandomLiarOracle:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"lie probability must be in [0, 1], got {p}")
         self.hidden = hidden
+        self._labels = hidden.labels
         self.n = hidden.n
         self.l = l
         self.p = p
@@ -60,7 +64,9 @@ class RandomLiarOracle:
         self._rng = random.Random(seed)
 
     def answer(self, u: int, v: int) -> int:
-        truth = self.hidden.same_cluster(u, v)
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            self.hidden.same_cluster(u, v)  # raises its ValueError for the pair
+        truth = 1 if self._labels[u] == self._labels[v] else -1
         if self.lies_used < self.l and self._rng.random() < self.p:
             self.lies_used += 1
             return -truth

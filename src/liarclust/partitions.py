@@ -212,7 +212,8 @@ def random_k_partition(n: int, k: int, rng: random.Random) -> Partition:
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
+    randrange = rng.randrange
     while True:
-        labels = [rng.randrange(k) for _ in range(n)]
+        labels = [randrange(k) for _ in range(n)]
         if len(set(labels)) == k:
             return Partition.from_labels(labels)

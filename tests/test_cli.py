@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liarclust
 from liarclust.cli import main
 
 
@@ -45,6 +50,20 @@ def test_simulate_csv_is_deterministic(capsys):
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[4] == "true"  # robust learner survives the liar
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = "simulate --learner robust_k --oracle liar -n 8 -k 3 -l 2 -p 0.4 --trials 3 --seed demo"
+    argv = argv.split()
+    code, out, _ = run_cli(capsys, *argv)
+    # Run from a checkout: the package's src directory goes first on the path.
+    path = [str(Path(liarclust.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "liarclust", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (code, out.encode())
+    assert out.startswith("trial,queries,rounds,lies_used,correct")
 
 
 def test_simulate_csv_to_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from liarclust.harness import (
     simulate,
 )
 from liarclust.learners.adaptive import (
+    Transcript,
     _insertion_sweep,
     insertion_cluster,
     parallel_insertion,
@@ -124,6 +125,26 @@ def test_run_game_query_cap():
     hidden = Partition(6, ((0, 1, 2), (3, 4, 5)))
     with pytest.raises(QueryBudgetExceededError):
         run_game(lambda o: insertion_cluster(6, o), TruthfulOracle(hidden), query_cap=2)
+
+
+def test_run_game_query_cap_through_the_repetition_layer():
+    hidden = Partition(6, ((0, 1, 2), (3, 4), (5,)))
+    learner = robustify(lambda o: insertion_cluster(6, o), 2)
+    liar = lambda: RandomLiarOracle(hidden, 2, 0.4, seed="cap")
+    q = run_game(learner, liar(), query_cap=1000).queries
+    outcome = run_game(learner, liar(), query_cap=q)
+    assert outcome.queries == q and outcome.correct
+    with pytest.raises(QueryBudgetExceededError):
+        run_game(learner, liar(), query_cap=q - 1)
+
+
+def test_run_game_checks_the_transcript_against_the_count():
+    def miscounting(oracle):
+        oracle.answer(0, 1)
+        return Transcript((), Partition(2, ((0, 1),)), 0)
+
+    with pytest.raises(AssertionError):
+        run_game(miscounting, TruthfulOracle(Partition(2, ((0, 1),))), query_cap=10)
 
 
 def test_run_game_outcome_fields():

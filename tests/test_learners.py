@@ -217,7 +217,28 @@ def test_bad_oracle_answers_are_rejected():
         def answer(self, u, v):
             return 0
 
-    with pytest.raises(ValueError):
+    class ZeroOnRepeat:
+        """Answers +1 the first time, then 0 when the same pair comes back."""
+
+        n = 3
+
+        def __init__(self):
+            self.asked = 0
+
+        def answer(self, u, v):
+            self.asked += 1
+            return 1 if self.asked == 1 else 0
+
+    with pytest.raises(ValueError, match=r"returned 0 for \(1, 0\)"):
         insertion_cluster(3, Broken())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"returned 0 for \(0, 1\)"):
         parallel_insertion(3, Broken())
+    # The repetition layer checks every answer it is given, repeats included.
+    with pytest.raises(ValueError, match=r"returned 0 for \(1, 0\)"):
+        robust_insertion(3, 1, Broken())
+    with pytest.raises(ValueError, match=r"returned 0 for \(0, 1\)"):
+        robustify(lambda o: parallel_insertion(3, o), 1)(Broken())
+    oracle = ZeroOnRepeat()
+    with pytest.raises(ValueError, match=r"returned 0 for \(1, 0\)"):
+        robust_insertion(3, 1, oracle)
+    assert oracle.asked == 2

@@ -26,6 +26,27 @@ def test_truthful_oracle_reads_partition():
     assert oracle.verify_budget()
 
 
+def test_hidden_partition_oracles_refuse_bad_pairs():
+    makers = (
+        lambda: TruthfulOracle(HIDDEN),
+        lambda: RandomLiarOracle(HIDDEN, 1, 1.0, seed=3),
+        lambda: RandomLiarOracle(HIDDEN, 5, 0.5, seed=3),
+    )
+    pairs = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    n = HIDDEN.n
+    for u, v in ((2, 2), (0, n), (-1, 0), (n, 0)):
+        with pytest.raises(ValueError) as want:
+            HIDDEN.same_cluster(u, v)
+        for make in makers:
+            oracle, fresh = make(), make()
+            with pytest.raises(ValueError) as got:
+                oracle.answer(u, v)
+            assert str(got.value) == str(want.value)
+            # The refused pair spent neither a lie nor a draw of the generator.
+            assert oracle.lies_used == 0
+            assert [oracle.answer(*p) for p in pairs] == [fresh.answer(*p) for p in pairs]
+
+
 def test_liar_with_zero_probability_is_truthful():
     oracle = RandomLiarOracle(HIDDEN, l=3, p=0.0, seed=7)
     for u in range(5):
