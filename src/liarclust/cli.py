@@ -130,6 +130,8 @@ def cmd_decode(args) -> int:
     answers = int_triples(
         _load_json(args.answers_file), "answers must be a JSON list of [u, v, sign] integer triples"
     )
+    if args.lies is not None and args.lies < 0:
+        raise ValueError(f"lie tolerance must be nonnegative, got {args.lies}")
     try:
         if any(m != 1 for _, _, m in plan.queries):
             if args.lies is None:

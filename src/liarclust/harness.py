@@ -295,12 +295,12 @@ def exact_expected_queries(sizes, known_k: bool = False) -> Fraction:
         raise ValueError(f"cluster sizes must be positive, got {sizes}")
     n = sum(sizes)
     check_permutation_n(n)
-    hidden = _fixed_partition(sizes)
+    oracle = TruthfulOracle(_fixed_partition(sizes))
     k = len(sizes) if known_k else None
     total = 0
     count = 0
     for order in _label_sequence_orders(sizes):
-        total += _insertion_sweep(n, TruthfulOracle(hidden), order, k).queries
+        total += _insertion_sweep(n, oracle, order, k).queries
         count += 1
     return Fraction(total, count)
 

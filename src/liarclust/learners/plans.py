@@ -13,14 +13,17 @@ answers have merged elements into components, it properly colors the graph
 of negative answers between components, using every one of the promised
 k colors.  The decoder therefore returns the unique such coloring, and
 raises InfeasibleAnswersError when none exists or AmbiguousAnswersError
-when more than one does.  plan_decodable checks a plan for every hidden
-partition at once, over the candidates' label columns.
+when more than one does.  It reads one join flag per query, the answer or
+its strict majority, from answers counted per query in one pass.
+plan_decodable checks every hidden partition at once, on label columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from operator import eq
+from functools import cached_property
+from itertools import compress
+from operator import eq, gt, not_
 
 from ..limits import check_enumeration_n
 from ..partitions import Partition, _label_columns, _pair_list
@@ -69,6 +72,12 @@ class QueryPlan:
             if (u, v) in seen:
                 raise ValueError(f"pair ({u}, {v}) listed twice")
             seen.add((u, v))
+
+    @cached_property
+    def _layout(self) -> tuple[dict[Pair, int], list[int]]:
+        """Each pair's position in queries, and the multiplicities in that order."""
+        index = {(u, v): i for i, (u, v, _) in enumerate(self.queries)}
+        return index, [m for _, _, m in self.queries]
 
     @property
     def total_queries(self) -> int:
@@ -158,23 +167,29 @@ def truthful_answers(plan: QueryPlan, hidden: Partition) -> list[tuple[int, int,
     return out
 
 
-def _group_answers(plan: QueryPlan, answers) -> dict[Pair, list[int]]:
-    """Bucket raw (u, v, sign) records per plan pair, validating coverage."""
-    want = {(u, v): m for u, v, m in plan.queries}
-    got: dict[Pair, list[int]] = {pair: [] for pair in want}
+def _tally(plan: QueryPlan, answers) -> tuple[list[int], list[int]]:
+    """Positive and all (u, v, sign) answers per query, in plan order, counted in one pass.
+
+    The first answer to an unasked pair or with a sign other than +1 or -1
+    is rejected, then the first pair in plan order not asked as many times.
+    """
+    index, multiplicities = plan._layout
+    pos = [0] * len(index)
+    total = [0] * len(index)
     for u, v, s in answers:
-        key = (u, v) if u < v else (v, u)
-        if key not in want:
+        i = index.get(key := (u, v) if u < v else (v, u))
+        if i is None:
             raise ValueError(f"answer for pair {key} which the plan never asks")
-        if s not in (1, -1):
+        if s == 1:
+            pos[i] += 1
+        elif s != -1:
             raise ValueError(f"answer sign must be +1 or -1, got {s!r}")
-        got[key].append(s)
-    for pair, m in want.items():
-        if len(got[pair]) != m:
-            raise ValueError(
-                f"pair {pair} answered {len(got[pair])} times, plan asks {m}"
-            )
-    return got
+        total[i] += 1
+    if total != multiplicities:
+        for (u, v, m), t in zip(plan.queries, total):
+            if t != m:
+                raise ValueError(f"pair {(u, v)} answered {t} times, plan asks {m}")
+    return pos, total
 
 
 def decode_plan(plan: QueryPlan, answers) -> Partition:
@@ -183,11 +198,9 @@ def decode_plan(plan: QueryPlan, answers) -> Partition:
     answers is an iterable of (u, v, sign).  Plans with repeated queries
     must go through majority_decode instead.
     """
-    if any(m != 1 for _, _, m in plan.queries):
+    if plan._layout[1].count(1) != len(plan.queries):
         raise ValueError("plan repeats queries; decode with majority_decode")
-    grouped = _group_answers(plan, answers)
-    signs = {pair: sgns[0] for pair, sgns in grouped.items()}
-    return _decode(plan, signs)
+    return _decode(plan, _tally(plan, answers)[0])  # a count of 0 or 1 is the join flag
 
 
 def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
@@ -199,19 +212,16 @@ def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
-    grouped = _group_answers(plan, answers)
-    signs = {}
-    for pair, sgns in grouped.items():
-        pos = sgns.count(1)
-        neg = len(sgns) - pos
-        if pos == neg:
-            raise InfeasibleAnswersError(f"pair {pair} answered to an exact tie")
-        signs[pair] = 1 if pos > neg else -1
-    return _decode(plan, signs)
+    pos, total = _tally(plan, answers)
+    twice = [p + p for p in pos]
+    if any(map(eq, twice, total)):
+        u, v, _ = plan.queries[list(map(eq, twice, total)).index(True)]
+        raise InfeasibleAnswersError(f"pair {(u, v)} answered to an exact tie")
+    return _decode(plan, list(map(gt, twice, total)))
 
 
-def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
-    """The single candidate partition that agrees with every answer.
+def _decode(plan: QueryPlan, joins: list) -> Partition:
+    """The single candidate partition that agrees with every query's join flag, in plan order.
 
     Positive answers merge elements into components, and a negative answer
     inside a component contradicts them.  The candidates that remain are
@@ -228,20 +238,18 @@ def _decode(plan: QueryPlan, signs: dict[Pair, int]) -> Partition:
             x = parent[x]
         return x
 
-    for (u, v), s in signs.items():
-        if s == 1:
-            parent[find(u)] = find(v)
+    for u, v, _ in compress(plan.queries, joins):
+        parent[find(u)] = find(v)
     number: dict[int, int] = {}
     comp_of = [number.setdefault(find(x), len(number)) for x in range(plan.n)]
     k = len(number)
     adj = [0] * k
-    for (u, v), s in signs.items():
-        if s == -1:
-            a, b = comp_of[u], comp_of[v]
-            if a == b:
-                raise InfeasibleAnswersError(f"answer for {(u, v)} contradicts the rest")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+    for u, v, _ in compress(plan.queries, map(not_, joins)):
+        a, b = comp_of[u], comp_of[v]
+        if a == b:
+            raise InfeasibleAnswersError(f"answer for {(u, v)} contradicts the rest")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
     if plan.k_mode is None:
         if sum(m.bit_count() for m in adj) < k * (k - 1):
             raise AmbiguousAnswersError("two groups are never told apart")

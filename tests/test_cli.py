@@ -162,6 +162,24 @@ def test_decode_reports_infeasible(capsys, tmp_path):
     assert "decode failed" in err
 
 
+def test_decode_rejects_a_negative_lie_tolerance_for_every_plan(capsys, tmp_path):
+    from liarclust.learners.plans import build_plan, robust_plan, truthful_answers
+    from liarclust.partitions import Partition
+
+    hidden = Partition(4, ((0, 1), (2, 3)))
+    for robust in ([], ["--robust", "1"]):
+        plan = robust_plan(build_plan(4, 2), 1) if robust else build_plan(4, 2)
+        answers_file = tmp_path / "answers.json"
+        answers_file.write_text(json.dumps(truthful_answers(plan, hidden)))
+        argv = ["decode", "-n", "4", "-k", "2", *robust, "--answers-file", str(answers_file)]
+        code, out, err = run_cli(capsys, *argv, "--lies", "-1")
+        assert (code, out, err) == (2, "", "error: lie tolerance must be nonnegative, got -1\n")
+        # A positive tolerance still decodes, and a plan without repeats ignores it.
+        code, out, _ = run_cli(capsys, *argv, "--lies", "1")
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "clusters": [[0, 1], [2, 3]]}
+
+
 def test_decode_of_a_large_plan_runs_without_recursion(capsys, tmp_path):
     # Every star answer -1 leaves 1,100 singleton components to color.
     code, out, _ = run_cli(capsys, "plan", "-n", "1100", "-k", "2")

@@ -111,11 +111,42 @@ def test_robust_plan_majority_decoding_under_single_lies():
                 assert majority_decode(plan, answers, 1) == hidden, (n, k, flip_at)
 
 
+def _decode_repeated(plan, answers, repeat):
+    """decode_plan on the plan, or majority_decode on its robust plan asking each pair repeat times."""
+    if repeat == 1:
+        return decode_plan(plan, answers)
+    return majority_decode(robust_plan(plan, repeat // 2), answers, repeat // 2)
+
+
+def _assert_fails(call, cls, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is cls and str(info.value) == message
+
+
 def test_majority_decode_rejects_ties():
     plan = QueryPlan(3, 2, ((0, 1, 2), (0, 2, 2)))
     answers = [(0, 1, 1), (0, 1, -1), (0, 2, -1), (0, 2, -1)]
     with pytest.raises(InfeasibleAnswersError):
         majority_decode(plan, answers, 0)
+    # The first tied pair in plan order is reported, whatever the answer order.
+    plan = QueryPlan(4, 2, ((0, 1, 2), (0, 2, 2), (0, 3, 2)))
+    answers = [(0, 3, 1), (3, 0, -1), (0, 1, 1), (1, 0, 1), (2, 0, -1), (0, 2, 1)]
+    _assert_fails(
+        lambda: majority_decode(plan, answers, 0),
+        InfeasibleAnswersError,
+        "pair (0, 2) answered to an exact tie",
+    )
+    _assert_fails(
+        lambda: majority_decode(plan, answers, -1),
+        ValueError,
+        "lie tolerance must be nonnegative, got -1",
+    )
+    _assert_fails(
+        lambda: decode_plan(plan, answers),
+        ValueError,
+        "plan repeats queries; decode with majority_decode",
+    )
 
 
 def test_decode_rejects_undecodable_input_shapes():
@@ -127,6 +158,60 @@ def test_decode_rejects_undecodable_input_shapes():
         decode_plan(plan, good + [(1, 2, 1)])  # pair the plan never asks
     with pytest.raises(ValueError):
         decode_plan(robust_plan(plan, 1), truthful_answers(robust_plan(plan, 1), Partition(4, ((0, 1), (2, 3)))))
+
+
+@pytest.mark.parametrize("repeat", [1, 3])
+def test_decoders_report_the_first_fault_with_a_fixed_message(repeat):
+    star = build_plan(4, 2)  # (0, 1), (0, 2), (0, 3)
+    good = [(0, 1, 1), (0, 2, -1), (0, 3, -1)] * repeat
+    asked = f"plan asks {repeat}"
+    cases = [
+        (good + [(2, 1, 1)], ValueError, "answer for pair (1, 2) which the plan never asks"),
+        ([(2, 2, 1)] + good, ValueError, "answer for pair (2, 2) which the plan never asks"),
+        # In input order, the first bad answer is reported; an unknown pair before its sign.
+        ([(0, 2, 0), (0, 3, 2), (0, 1, "x")] + good, ValueError, "answer sign must be +1 or -1, got 0"),
+        ([(0, 2, 2), (1, 2, 1)] + good, ValueError, "answer sign must be +1 or -1, got 2"),
+        ([(0, 1, "x"), (0, 2, 0)] + good, ValueError, "answer sign must be +1 or -1, got 'x'"),
+        ([(1, 3, "x")] + good, ValueError, "answer for pair (1, 3) which the plan never asks"),
+        # Counts are checked in plan order, after every answer has been read.
+        (good[:-1], ValueError, f"pair (0, 3) answered {repeat - 1} times, {asked}"),
+        (good + [(1, 0, -1)], ValueError, f"pair (0, 1) answered {repeat + 1} times, {asked}"),
+        (good[:-1] + [(0, 1, 1)], ValueError, f"pair (0, 1) answered {repeat + 1} times, {asked}"),
+        # Every pair joined leaves one cluster where two are promised.
+        ([(0, v, 1) for v in (1, 2, 3)] * repeat, InfeasibleAnswersError,
+         "no 2-cluster partition explains the answers"),
+    ]
+    for answers, cls, message in cases:
+        _assert_fails(lambda: _decode_repeated(star, answers, repeat), cls, message)
+    # A negative answer inside a positive component is reported by its pair.
+    complete = build_plan(3)
+    _assert_fails(
+        lambda: _decode_repeated(complete, [(0, 1, 1), (1, 2, 1), (0, 2, -1)] * repeat, repeat),
+        InfeasibleAnswersError,
+        "answer for (0, 2) contradicts the rest",
+    )
+    assert _decode_repeated(star, good, repeat) == Partition(4, ((0, 1), (2, 3)))
+
+
+def test_decoders_ignore_answer_order_and_pair_orientation():
+    rng = random.Random("answer-order")
+    for repeat in (1, 3, 5):
+        for plan, hidden in [
+            (build_plan(6, 3), Partition(6, ((0, 3), (1, 2, 4), (5,)))),
+            (build_plan(5), Partition(5, ((0, 3), (1, 2, 4)))),
+        ]:
+            answers = truthful_answers(plan, hidden) * repeat
+            if repeat > 1:
+                u, v, s = answers[0]
+                answers[0] = (u, v, -s)  # one lie, outvoted
+            assert _decode_repeated(plan, answers, repeat) == hidden
+            shuffled = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in answers]
+            rng.shuffle(shuffled)
+            assert _decode_repeated(plan, shuffled, repeat) == hidden
+            assert _decode_repeated(plan, shuffled[::-1], repeat) == hidden
+            # True and 1.0 count as +1, and -1.0 as -1, as equality with 1 and -1 says.
+            loose = [(u, v, rng.choice((True, 1.0)) if s == 1 else -1.0) for u, v, s in shuffled]
+            assert _decode_repeated(plan, loose, repeat) == hidden
 
 
 def test_star_plan_rejects_infeasible_answers():
@@ -214,6 +299,13 @@ def test_query_plan_validation_and_json():
         QueryPlan(3, 2, ((0, 1, 0),))
     plan = robust_plan(build_plan(6, 3), 2)
     assert QueryPlan.from_json_dict(plan.to_json_dict()) == plan
+    # Decoding leaves the plan's value alone: equality, hash, repr and JSON.
+    fresh = QueryPlan(plan.n, plan.k_mode, plan.queries)
+    hidden = Partition(6, ((0, 3), (1, 2, 4), (5,)))
+    assert majority_decode(plan, truthful_answers(plan, hidden), 2) == hidden
+    assert (plan, hash(plan), repr(plan), plan.to_json_dict()) == (
+        fresh, hash(fresh), repr(fresh), fresh.to_json_dict()
+    )
     # Plan files written with the former "decoder" key still load.
     legacy = dict(plan.to_json_dict(), decoder="split_matching")
     assert QueryPlan.from_json_dict(legacy) == plan
@@ -289,6 +381,50 @@ def test_decode_matches_brute_force_on_arbitrary_plans():
                 decode_plan(plan, answers)
             outcomes[want.__name__] = outcomes.get(want.__name__, 0) + 1
     # The draw reaches every outcome often enough to mean something.
+    assert set(outcomes) == {"partition", "InfeasibleAnswersError", "AmbiguousAnswersError"}
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def _reference_majority_decode(plan, answers):
+    """Brute force: a strict majority per pair, a tie infeasible, then _reference_decode."""
+    votes = {(u, v): 0 for u, v, _ in plan.queries}
+    for u, v, s in answers:
+        votes[min(u, v), max(u, v)] += s
+    if 0 in votes.values():
+        return InfeasibleAnswersError
+    return _reference_decode(plan, [(u, v, 1 if t > 0 else -1) for (u, v), t in votes.items()])
+
+
+def test_majority_decode_matches_brute_force_on_arbitrary_plans():
+    rng = random.Random("arbitrary-repeated-plans")
+    outcomes = {}
+    for trial in range(1500):
+        n = rng.randint(2, 6)
+        density = rng.random()
+        chosen = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
+        ]
+        k_mode = rng.choice([None, *range(1, n + 1)])
+        plan = QueryPlan(n, k_mode, tuple((u, v, rng.randint(1, 5)) for u, v in chosen))
+        if trial % 2:
+            answers = [(u, v, rng.choice((1, -1))) for u, v, m in plan.queries for _ in range(m)]
+        else:
+            if k_mode is None:
+                hidden = rng.choice(list(enumerate_partitions(n)))
+            else:
+                hidden = random_k_partition(n, k_mode, rng)
+            answers = [(u, v, -s if rng.random() < 0.2 else s)
+                       for u, v, s in truthful_answers(plan, hidden)]
+        answers = [(v, u, s) if rng.random() < 0.5 else (u, v, s) for u, v, s in answers]
+        rng.shuffle(answers)
+        want = _reference_majority_decode(plan, answers)
+        if isinstance(want, Partition):
+            assert majority_decode(plan, answers, 0) == want, (plan, answers)
+            outcomes["partition"] = outcomes.get("partition", 0) + 1
+        else:
+            with pytest.raises(want):
+                majority_decode(plan, answers, 0)
+            outcomes[want.__name__] = outcomes.get(want.__name__, 0) + 1
     assert set(outcomes) == {"partition", "InfeasibleAnswersError", "AmbiguousAnswersError"}
     assert min(outcomes.values()) >= 100, outcomes
 
