@@ -21,10 +21,9 @@ from .bounds import (
     hamming_ball_volume,
     info_lower_bound_known,
     info_lower_bound_unknown,
-    liar_counting_feasible,
-    min_queries_liar_counting,
     upper_bound_known,
     upper_bound_unknown,
+    volume_bound,
 )
 from .game import GameValueResult, SearchBudgetExceededError, exact_game_value
 from .harness import (
@@ -112,11 +111,9 @@ __all__ = [
     "info_lower_bound_known",
     "info_lower_bound_unknown",
     "insertion_cluster",
-    "liar_counting_feasible",
     "majority_decode",
     "max_enumeration_n",
     "max_permutation_n",
-    "min_queries_liar_counting",
     "monte_carlo_expected",
     "parallel_insertion",
     "plan_decodable",
@@ -131,4 +128,5 @@ __all__ = [
     "truthful_answers",
     "upper_bound_known",
     "upper_bound_unknown",
+    "volume_bound",
 ]

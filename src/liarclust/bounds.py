@@ -3,8 +3,9 @@
 Worst-case bounds for adaptive learning against up to l lies, expected
 query counts for the randomized insertion learner against a truthful
 source, and two information-theoretic floors (entropy counting and
-lie-pattern counting).  Everything that can be a Fraction is a Fraction;
-floats appear only where a logarithm forces them.
+Berlekamp's volume bound, which the minimax solver applies to every
+position).  Everything that can be a Fraction is a Fraction; floats
+appear only where a logarithm forces them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .partitions import bell, stirling2
@@ -128,8 +130,9 @@ def _channel_capacity(lie_fraction: float) -> float:
     return 1.0 - binary_entropy(lie_fraction)
 
 
+@cache
 def hamming_ball_volume(l: int, q: int) -> int:
-    """Number of binary length-q strings within Hamming distance l of a fixed one."""
+    """Number of binary length-q strings within Hamming distance l of a fixed one; cached."""
     if l < 0 or q < 0:
         raise ValueError(f"need l >= 0 and q >= 0, got l={l}, q={q}")
     term = total = 1
@@ -139,21 +142,27 @@ def hamming_ball_volume(l: int, q: int) -> int:
     return total
 
 
-def liar_counting_feasible(num_candidates: int, l: int, q: int) -> bool:
-    """Whether q answers can distinguish the candidates despite l lies.
+@cache
+def volume_bound(hist: tuple[int, ...], l: int) -> int:
+    """Berlekamp's volume bound on the queries a position still needs; cached.
 
-    Necessary condition: the answer space must hold one radius-l ball per
-    candidate, i.e. num_candidates * hamming_ball_volume(l, q) <= 2**q.
+    See A. Pelc, "Searching games with errors - fifty years of coping with
+    liars", TCS 2002.  hist[c] live candidates have cost c <= l.  Each
+    answer splits the total volume sum(hamming_ball_volume(l - c, q))
+    between the two children (with q - 1 queries left), and a finished game
+    has volume 1, so q queries suffice only if the volume is at most 2**q.
+    Two candidates with r and r' lies left need r + r' + 1 answers, where
+    the test starts: below that their two balls alone overfill the cube.
+    A lone candidate needs no query; ValueError when there is no candidate.
     """
-    if num_candidates < 1:
-        raise ValueError(f"need at least one candidate, got {num_candidates}")
-    return num_candidates * hamming_ball_volume(l, q) <= 2**q
-
-
-def min_queries_liar_counting(num_candidates: int, l: int) -> int:
-    """Smallest q passing the lie-pattern counting test."""
-    q = 0
-    while not liar_counting_feasible(num_candidates, l, q):
+    balls = [(l - c, m) for c, m in enumerate(hist) if m]
+    if not balls:
+        raise ValueError(f"no candidate within the lie budget, histogram {hist}")
+    (r, m), *rest = balls
+    if m == 1 and not rest:
+        return 0
+    q = 2 * r + 1 if m > 1 else r + rest[0][0] + 1
+    while sum(m * hamming_ball_volume(r, q) for r, m in balls) > 1 << q:
         q += 1
     return q
 
@@ -203,5 +212,5 @@ def build_bounds_report(n: int, k: int, l: int) -> BoundsReport:
         expected_worst_case=expected_queries_worst_case(n, k),
         expected_robust_worst_case=expected_queries_robust_worst_case(n, k, l),
         entropy_floor_known=info_lower_bound_known(n, k),
-        counting_floor=min_queries_liar_counting(stirling2(n, k), l),
+        counting_floor=volume_bound((stirling2(n, k),), l),
     )

@@ -22,11 +22,8 @@ that move a least-cost candidate to the front can give the least image, so
 only those are applied.  Keys are memoized per raw position for the life of
 one search.
 
-Berlekamp's volume bound (see A. Pelc, "Searching games with errors - fifty
-years of coping with liars", TCS 2002) is the least q for which the live
-candidates' Hamming balls of radius l - cost fit in the 2**q answer strings
-of q more queries.  No questioner beats it, pairs or not, so a position
-whose bound already reaches the search window is cut before it is
+No questioner beats Berlekamp's volume bound, bounds.volume_bound, so a
+position whose bound already reaches the search window is cut before it is
 canonicalized, and a position stops trying pairs once one meets its bound.
 It also orders the search: pairs whose heavier child holds the least
 volume come first (Berlekamp's balance), and of the two answers the child
@@ -40,9 +37,9 @@ from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 
-from .bounds import hamming_ball_volume
+from .bounds import hamming_ball_volume, volume_bound
 from .limits import check_permutation_n
-from .partitions import _join_masks, _pair_list, k_partition_label_tuples, stirling2
+from .partitions import _join_masks, _label_columns, _pair_list, stirling2
 
 _INF = 1 << 30
 
@@ -70,7 +67,7 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     tables form a group, generated by the n - 1 swaps of adjacent elements,
     so they are built as the closure of those generators under composition.
     """
-    labels = k_partition_label_tuples(n, k)
+    labels = list(zip(*_label_columns(n, k)))
     index_of = {lab: i for i, lab in enumerate(labels)}
 
     def swap(lab: tuple[int, ...], i: int) -> int:
@@ -129,46 +126,15 @@ class _MinimaxSolver:
         self.levels = range(l + 1)
         self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
         self.live_table = bytes(c <= l for c in range(256))
-        self.join = [self._spread(_join_masks(n, k)[p]) for p in _pair_list(n)]
+        self.join = [self._spread(_join_masks(n, (k,))[p]) for p in _pair_list(n)]
         self.sources, self.groups = _relabel_groups(n, k)
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
         self.tt: dict[bytes, tuple[int, int]] = {}
-        self.volumes: dict[tuple[int, int], int] = {}
-        self.bounds: dict[tuple[int, ...], int] = {}
 
     def _spread(self, mask: int) -> int:
         return int.from_bytes(bytes(mask >> i & 1 for i in range(self.size)), "little")
-
-    def _volume(self, r: int, q: int) -> int:
-        """Answer strings of length q that a candidate with r lies left survives."""
-        if r < 0:
-            return 0
-        v = self.volumes.get((r, q))
-        if v is None:
-            v = self.volumes[(r, q)] = hamming_ball_volume(r, q)
-        return v
-
-    def _lb(self, hist: tuple[int, ...]) -> int:
-        """Berlekamp's volume bound on the queries a position still needs.
-
-        hist[c] live candidates have cost c.  Each answer splits the total
-        volume sum(hamming_ball_volume(l - c, q)) between the two children
-        (with q - 1 queries left), and a finished game has volume 1, so q
-        queries suffice only if the volume is at most 2**q.  Two candidates
-        with r and r' lies left need r + r' + 1 answers, where the test
-        starts: below that their two balls alone overfill the cube.
-        """
-        lb = self.bounds.get(hist)
-        if lb is None:
-            balls = [(self.l - c, m) for c, m in enumerate(hist) if m]
-            (r, m), *rest = balls
-            q = 2 * r + 1 if m > 1 else r + rest[0][0] + 1
-            while sum(m * self._volume(r, q) for r, m in balls) > 1 << q:
-                q += 1
-            lb = self.bounds[hist] = q
-        return lb
 
     def _canon(self, s: bytes) -> bytes:
         """The least image of s under the relabel tables, memoized.
@@ -200,7 +166,7 @@ class _MinimaxSolver:
             hist = tuple(map(child.count, self.levels))
             live_after = sum(hist)
             if live_after:
-                out.append((self._lb(hist) if live_after > 1 else 0, live_after, child, hist))
+                out.append((volume_bound(hist, self.l), live_after, child, hist))
         return out
 
     def solve(self) -> int:
@@ -212,7 +178,7 @@ class _MinimaxSolver:
         assert live >= 1, "reached an inconsistent position"
         if live == 1:
             return 0
-        lb = self._lb(hist)
+        lb = volume_bound(hist, self.l)
         if lb >= beta:
             return lb  # a valid lower bound, so the parent cuts here too
 
@@ -243,8 +209,8 @@ class _MinimaxSolver:
             (
                 int.from_bytes(s.translate(self.level_tables[c]), "little"),
                 m,
-                self._volume(l - c, q),
-                self._volume(l - c - 1, q),
+                hamming_ball_volume(l - c, q),
+                hamming_ball_volume(l - c - 1, q) if c < l else 0,
             )
             for c, m in enumerate(hist)
             if m

@@ -15,7 +15,7 @@ k colors.  The decoder therefore returns the unique such coloring, and
 raises InfeasibleAnswersError when none exists or AmbiguousAnswersError
 when more than one does.  It reads one join flag per query, the answer or
 its strict majority, from answers counted per query in one pass.
-plan_decodable checks every hidden partition at once, on label columns.
+plan_decodable checks every hidden partition at once, on join masks.
 """
 
 from __future__ import annotations
@@ -26,11 +26,7 @@ from itertools import compress
 from operator import eq, gt, not_
 
 from ..limits import check_enumeration_n
-from ..partitions import Partition, _label_columns, _pair_list
-
-Pair = tuple[int, int]
-
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
+from ..partitions import Pair, Partition, _charge, _join_masks, _pair_list, stirling2
 
 
 class DecodeError(ValueError):
@@ -206,12 +202,16 @@ def decode_plan(plan: QueryPlan, answers) -> Partition:
 def majority_decode(plan: QueryPlan, answers, l: int) -> Partition:
     """Decode a repeated plan by strict per-pair majority.
 
-    With every pair asked 2l+1 times, any answer source lying at most l
-    times per pair cannot flip a majority, so the result matches what the
-    truthful answers would decode to.
+    With every pair asked at least 2l+1 times, any answer source lying at
+    most l times per pair cannot flip a majority, so the result matches
+    what the truthful answers would decode to.  The first pair in plan
+    order asked fewer times is rejected with ValueError.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
+    for u, v, m in plan.queries:
+        if m <= 2 * l:
+            raise ValueError(f"pair {(u, v)} is asked {m} times, fewer than 2l+1 = {2 * l + 1}")
     pos, total = _tally(plan, answers)
     twice = [p + p for p in pos]
     if any(map(eq, twice, total)):
@@ -312,33 +312,29 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     """Whether the plan's answer vectors separate all its candidate partitions.
 
     Candidates are the k_mode-cluster partitions (or all partitions when
-    k_mode is None), read off the label columns.  With lie tolerance l,
-    separation means every two candidates disagree on queries of total
-    multiplicity more than 2l, so no l lies can make one look like another.
+    k_mode is None), and each query's join mask marks those joining its
+    pair.  With lie tolerance l, separation means every two candidates
+    disagree on queries of total multiplicity more than 2l, so no l lies
+    can make one look like another.
     Each candidate moves the others up levels of disagreement with it, by
     each query's multiplicity, as the adversary moves its candidates.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
     check_enumeration_n(plan.n)
-    ks = range(1, plan.n + 1) if plan.k_mode is None else (plan.k_mode,)
-    cols = [b"".join(_label_columns(plan.n, k)[x] for k in ks) for x in range(plan.n)]
-    count = len(cols[0])
-    rows = [bytes(map(eq, cols[u], cols[v])) for u, v, _ in plan.queries]
+    ks = tuple(range(1, plan.n + 1)) if plan.k_mode is None else (plan.k_mode,)
+    count = sum(stirling2(plan.n, k) for k in ks)
+    masks = _join_masks(plan.n, ks)
     if l == 0:
+        rows = [f"{masks[u, v]:0{count}b}" for u, v, _ in plan.queries]
         return len(set(zip(*rows))) == count if rows else count == 1
-    # One bit per candidate, the first candidate lowest, as in _join_masks.
-    joins = [(int(row[::-1].translate(_BINARY_DIGITS), 2), m)
-             for row, (_, _, m) in zip(rows, plan.queries)]
+    joins = [(masks[u, v], m) for u, v, m in plan.queries]
     everyone = (1 << count) - 1
-    top = 2 * l
     for i in range(count):
         bit = 1 << i
-        lv = [everyone ^ bit] + [0] * top  # the other candidates, by disagreement with candidate i
+        lv = [everyone ^ bit] + [0] * (2 * l)  # the other candidates, by disagreement with candidate i
         for join, m in joins:
-            costed = everyone ^ join if join & bit else join
-            for j in range(top, -1, -1):
-                lv[j] = (lv[j] & ~costed) | (lv[j - m] & costed if j >= m else 0)
+            _charge(lv, everyone ^ join if join & bit else join, m)
         if any(lv):
             return False
     return True

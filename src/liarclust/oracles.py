@@ -17,7 +17,7 @@ from functools import reduce
 from operator import or_
 
 from .limits import check_enumeration_n
-from .partitions import Partition, _join_masks, _label_columns, stirling2
+from .partitions import Partition, _charge, _join_masks, _label_columns, stirling2
 
 
 class TruthfulOracle:
@@ -121,7 +121,7 @@ class AdversarialOracle:
         self.hidden = None
         self.committed: Partition | None = None
         self._cols = _label_columns(n, k)
-        self._join = _join_masks(n, k)
+        self._join = _join_masks(n, (k,))
         self._all = (1 << stirling2(n, k)) - 1
         self._lv = [self._all] + [0] * l
         self._committed_bit = 0
@@ -161,15 +161,11 @@ class AdversarialOracle:
             a = self._uncommitted_answer(join)
         else:
             a = 1 if join & self._committed_bit else -1
-        costed = self._all ^ join if a == 1 else join
-        lv = self._lv
-        for j in range(self.l, 0, -1):
-            lv[j] = (lv[j] & ~costed) | (lv[j - 1] & costed)
-        lv[0] &= ~costed
-        if self.committed is None:
-            assert lv[0], "no candidate explains every answer for free"
-        else:
-            assert lv[self.l] & self._committed_bit, "the committed candidate left level l"
+        _charge(self._lv, self._all ^ join if a == 1 else join)
+        if self.committed is None and not self._lv[0]:
+            raise AssertionError("no candidate explains every answer for free")
+        if self.committed is not None and not self._lv[self.l] & self._committed_bit:
+            raise AssertionError("the committed candidate left level l")
         return a
 
     @property

@@ -151,30 +151,39 @@ def _label_columns(n: int, k: int) -> tuple[bytes, ...]:
     return (bytes(count), *columns)
 
 
-@cache
-def k_partition_label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Label tuples of all k-clustered partitions, in canonical order; cached."""
-    return tuple(zip(*_label_columns(n, k)))
-
-
 def _pair_list(n: int) -> tuple[Pair, ...]:
     """Every pair (u, v) with u < v over {0..n-1}, in lexicographic order."""
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 @cache
-def _join_masks(n: int, k: int) -> dict[Pair, int]:
-    """Per pair: bitmask over k-partition indices that put the pair together.
+def _join_masks(n: int, ks: tuple[int, ...]) -> dict[Pair, int]:
+    """Per pair: bitmask over the candidates that put the pair together; cached.
 
-    Bit i stands for the i-th k-partition in canonical order.  The mask of
-    label c at element x is read off x's label column from _label_columns
-    as a string of binary digits, reversed so that the first k-partition is
+    The candidates are the k-partitions for each k in ks, side by side,
+    each k's in canonical order, and bit i stands for the i-th.  The mask
+    of label c at element x is read off x's label columns, joined over ks,
+    as a string of binary digits, reversed so that the first candidate is
     the lowest bit; a pair is joined where its two elements share a label.
     """
-    digits = [bytes.maketrans(bytes(range(k)), bytes(49 if d == c else 48 for d in range(k)))
-              for c in range(k)]
-    masks = [[int(col[::-1].translate(t), 2) for t in digits] for col in _label_columns(n, k)]
+    top = max(ks)
+    digits = [bytes.maketrans(bytes(range(top)), bytes(49 if d == c else 48 for d in range(top)))
+              for c in range(top)]
+    cols = [b"".join(_label_columns(n, k)[x] for k in ks) for x in range(n)]
+    masks = [[int(col[::-1].translate(t), 2) for t in digits] for col in cols]
     return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
+
+
+def _charge(levels: list[int], costed: int, step: int = 1) -> None:
+    """Move the costed candidates up step levels, in place.
+
+    levels[j] is the mask of the candidates that disagree with exactly j
+    answers; a candidate pushed past the last level drops out.
+    """
+    spared = ~costed
+    for j in range(len(levels) - 1, -1, -1):
+        levels[j] = (levels[j] & spared | levels[j - step] & costed if j >= step
+                     else levels[j] & spared)
 
 
 def _stirling_row(n: int, k: int) -> list[int]:

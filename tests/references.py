@@ -5,7 +5,8 @@ disagreement cost of a partition is a sum over the record, with no level
 masks.  k_inseparable asks the plan decoder's coloring search whether a
 pair can be split, without going through the adversary's level masks.
 k_partitions filters every restricted growth string, so it reads none of
-the label columns that the package enumerates k-partitions from, and
+the label columns that the package enumerates k-partitions from, nor does
+label_tuples, which reads its partitions' labels, and
 relabel_tables applies every permutation of the elements to every
 k-partition, where the solver closes the adjacent swaps under composition.
 """
@@ -27,6 +28,11 @@ def k_partitions(n: int, k: int) -> Iterator[Partition]:
     for labels in _restricted_growth_strings(n):
         if (max(labels) if labels else -1) == k - 1:
             yield Partition.from_labels(labels)
+
+
+def label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The labels of every k-partition of {0..n-1}, in canonical order."""
+    return tuple(p.labels for p in k_partitions(n, k))
 
 
 @cache

@@ -19,10 +19,9 @@ from liarclust.bounds import (
     hamming_ball_volume,
     info_lower_bound_known,
     info_lower_bound_unknown,
-    liar_counting_feasible,
-    min_queries_liar_counting,
     upper_bound_known,
     upper_bound_unknown,
+    volume_bound,
 )
 from liarclust.learners.adaptive import _insertion_sweep
 from liarclust.oracles import TruthfulOracle
@@ -159,13 +158,13 @@ def test_hamming_volumes():
 
 
 def test_liar_counting():
-    assert liar_counting_feasible(3, 0, 2)
-    assert not liar_counting_feasible(3, 1, 3)
-    assert min_queries_liar_counting(3, 0) == 2
-    assert min_queries_liar_counting(3, 1) == 4
-    assert min_queries_liar_counting(1, 2) == 0
-    with pytest.raises(ValueError):
-        liar_counting_feasible(0, 1, 2)
+    # The volume bound at the root: every candidate within budget at cost 0.
+    assert volume_bound((3,), 0) == 2
+    assert volume_bound((3,), 1) == 4
+    assert volume_bound((1,), 2) == volume_bound((0, 0, 1), 2) == 0  # a lone candidate
+    for hist in [(), (0,), (0, 0, 0)]:
+        with pytest.raises(ValueError):
+            volume_bound(hist, len(hist))
 
 
 def test_bounds_report_roundtrip():
@@ -174,5 +173,5 @@ def test_bounds_report_roundtrip():
     assert data["adaptive_lower"] == "31/2"
     assert data["adaptive_lower_ceil"] == 16
     assert data["adaptive_upper_known"] == 29
-    assert data["counting_floor"] == min_queries_liar_counting(90, 2)
+    assert data["counting_floor"] == volume_bound((90,), 2)
     assert isclose(data["entropy_floor_known"], log2(90), rel_tol=1e-12)

@@ -180,6 +180,25 @@ def test_decode_rejects_a_negative_lie_tolerance_for_every_plan(capsys, tmp_path
         assert json.loads(out) == {"n": 4, "clusters": [[0, 1], [2, 3]]}
 
 
+def test_decode_rejects_a_lie_tolerance_the_repeats_cannot_carry(capsys, tmp_path):
+    from liarclust.learners.plans import build_plan, robust_plan, truthful_answers
+    from liarclust.partitions import Partition
+
+    plan = robust_plan(build_plan(4, 2), 1)  # each star pair asked 3 times
+    answers = truthful_answers(plan, Partition(4, ((0, 1), (2, 3))))
+    answers[0] = (0, 1, -answers[0][2])
+    answers_file = tmp_path / "answers.json"
+    answers_file.write_text(json.dumps(answers))
+    argv = ["decode", "-n", "4", "-k", "2", "--robust", "1", "--answers-file", str(answers_file)]
+    for lies in (0, 1):
+        code, out, err = run_cli(capsys, *argv, "--lies", str(lies))
+        assert (code, json.loads(out), err) == (0, {"n": 4, "clusters": [[0, 1], [2, 3]]}, "")
+    for lies in (2, 5):
+        code, out, err = run_cli(capsys, *argv, "--lies", str(lies))
+        want = f"error: pair (0, 1) is asked 3 times, fewer than 2l+1 = {2 * lies + 1}\n"
+        assert (code, out, err) == (2, "", want)
+
+
 def test_decode_of_a_large_plan_runs_without_recursion(capsys, tmp_path):
     # Every star answer -1 leaves 1,100 singleton components to color.
     code, out, _ = run_cli(capsys, "plan", "-n", "1100", "-k", "2")

@@ -10,7 +10,7 @@ from operator import itemgetter
 import pytest
 
 from liarclust import game
-from liarclust.bounds import adaptive_lower_bound_ceil, upper_bound_known
+from liarclust.bounds import adaptive_lower_bound_ceil, upper_bound_known, volume_bound
 from liarclust.game import (
     GameValueResult,
     SearchBudgetExceededError,
@@ -20,13 +20,8 @@ from liarclust.game import (
 )
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle
-from liarclust.partitions import (
-    Partition,
-    _join_masks,
-    k_partition_label_tuples,
-    stirling2,
-)
-from references import SignedAnswers, k_inseparable, k_partitions, relabel_tables
+from liarclust.partitions import Partition, _join_masks, stirling2
+from references import SignedAnswers, k_inseparable, k_partitions, label_tuples, relabel_tables
 
 
 def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None) -> int:
@@ -309,11 +304,10 @@ def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
     rng = random.Random(7007)
     for n, k in [(4, 2), (4, 3), (5, 3)]:
         for l in range(4):
-            solver = _MinimaxSolver(n, k, l, node_budget=1)
             for _ in range(40):
-                costs = [rng.randint(0, l + 1) for _ in range(solver.size)]
-                if sum(c <= l for c in costs) >= 2:
-                    assert solver._lb(_histogram(costs, l)) == _volume_bound(costs, l), costs
+                costs = [rng.randint(0, l + 1) for _ in range(stirling2(n, k))]
+                if sum(c <= l for c in costs) >= 1:
+                    assert volume_bound(_histogram(costs, l), l) == _volume_bound(costs, l), costs
 
     # Admissible: at positions on seeded random answer paths the bound is at
     # most the reference value, so cutting on it loses no line of play.
@@ -321,7 +315,6 @@ def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
     for n, k, l in [(3, 2, 2), (4, 2, 1), (4, 3, 1)]:
         candidates = list(k_partitions(n, k))
         pairs = list(itertools.combinations(range(n), 2))
-        solver = _MinimaxSolver(n, k, l, node_budget=1)
         seen = set()
         for _ in range(4):
             inst = SignedAnswers(n)
@@ -329,7 +322,7 @@ def test_volume_bound_matches_its_formula_and_never_exceeds_the_value():
             while sum(c <= l for c in costs) >= 2:
                 if tuple(costs) not in seen:
                     seen.add(tuple(costs))
-                    bound = solver._lb(_histogram(costs, l))
+                    bound = volume_bound(_histogram(costs, l), l)
                     assert bound <= _reference_value(n, k, l, inst), (n, k, l, costs)
                 u, v = rng.choice(pairs)
                 nxt = inst.record_response(u, v, rng.choice((1, -1)))
@@ -483,16 +476,17 @@ def test_search_budget_is_enforced():
 def test_join_masks_match_a_bit_by_bit_build():
     for n in range(1, 9):
         pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
-        for k in range(1, n + 1):
-            labels = k_partition_label_tuples(n, k)
-            masks = _join_masks(n, k)
+        # Each k alone, and every k from 1 to n side by side.
+        for ks in [*((k,) for k in range(1, n + 1)), tuple(range(1, n + 1))]:
+            labels = [lab for k in ks for lab in label_tuples(n, k)]
+            masks = _join_masks(n, ks)
             assert set(masks) == pairs
             for (u, v), mask in masks.items():
                 want = 0
                 for i, lab in enumerate(labels):
                     if lab[u] == lab[v]:
                         want |= 1 << i
-                assert mask == want, (n, k, u, v)
+                assert mask == want, (n, ks, u, v)
 
 
 def test_relabel_tables_are_index_permutations():

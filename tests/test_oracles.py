@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from liarclust import oracles, partitions
@@ -128,20 +133,46 @@ def test_adversary_survives_cyclic_interrogation():
 
 def test_adversary_checks_the_enumeration_cap_before_building_tables(monkeypatch):
     # A shape that is already cached would skip the check inside the builders.
-    for table in (partitions._label_columns, partitions._join_masks,
-                  partitions.k_partition_label_tuples):
+    for table in (partitions._label_columns, partitions._join_masks):
         table.cache_clear()
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
     with pytest.raises(ExhaustionLimitError):
         AdversarialOracle(6, 2, 1)
 
     def unreachable(n, k):
-        raise AssertionError(f"label columns built for n={n} past the cap")
+        raise AssertionError(f"tables built for n={n} past the cap")
 
-    monkeypatch.setattr(partitions, "_label_columns", unreachable)
-    monkeypatch.setattr(oracles, "_label_columns", unreachable)
+    for module in (partitions, oracles):
+        monkeypatch.setattr(module, "_label_columns", unreachable)
+        monkeypatch.setattr(module, "_join_masks", unreachable)
     with pytest.raises(ExhaustionLimitError):
         AdversarialOracle(6, 2, 1)
+
+
+def test_adversary_checks_its_invariants_under_python_O():
+    # Each answer checks with an explicit raise, which python -O keeps.
+    script = (
+        "from liarclust.oracles import AdversarialOracle\n"
+        "for committed in (False, True):\n"
+        "    oracle = AdversarialOracle(4, 2, 1)\n"
+        "    if committed:\n"
+        "        oracle.committed, oracle._committed_bit = object(), 1\n"
+        "    oracle._lv = [0, 0]\n"
+        "    try:\n"
+        "        oracle.answer(0, 1)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+    )
+    path = [str(Path(oracles.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "no candidate explains every answer for free\n"
+        "the committed candidate left level l\n"
+    )
 
 
 def test_robust_learner_beats_the_adversary_at_the_enumeration_cap():

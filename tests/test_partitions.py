@@ -9,16 +9,17 @@ import pytest
 from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import (
     Partition,
+    _charge,
+    _join_masks,
     _label_columns,
     _restricted_growth_strings,
     bell,
     enumerate_k_partitions,
     enumerate_partitions,
-    k_partition_label_tuples,
     random_k_partition,
     stirling2,
 )
-from references import k_partitions
+from references import SignedAnswers, k_partitions, label_tuples
 
 # Frozen reference counts (standard tables, written down before the code).
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -139,18 +140,37 @@ def test_json_round_trip():
 def test_label_tuples_match_enumeration():
     for n in range(1, 7):
         for k in range(1, n + 1):
-            tuples = k_partition_label_tuples(n, k)
+            tuples = label_tuples(n, k)
             parts = list(enumerate_k_partitions(n, k))
             assert [Partition.from_labels(t) for t in tuples] == parts
             assert [p.labels for p in parts] == list(tuples)
 
 
-def test_label_tuples_match_filtered_growth_strings():
-    for n in range(11):
-        strings = list(_restricted_growth_strings(n))
-        for k in range(n + 2):
-            want = tuple(s for s in strings if max(s) == k - 1) if 0 < k <= n else ()
-            assert k_partition_label_tuples(n, k) == want, (n, k)
+def test_charge_matches_reference_costs_capped_past_the_top():
+    # Random answers with multiplicities 1-3; a candidate's level is its
+    # reference cost, and a candidate past the top level is in none.
+    rng = random.Random("charge")
+    for n in range(2, 7):
+        for ks in [(rng.randint(1, n),), tuple(range(1, n + 1))]:
+            candidates = [p for k in ks for p in k_partitions(n, k)]
+            masks = _join_masks(n, ks)
+            everyone = (1 << len(candidates)) - 1
+            for top in range(4):
+                levels = [everyone] + [0] * top
+                record = SignedAnswers(n)
+                for _ in range(10):
+                    u, v = sorted(rng.sample(range(n), 2))
+                    answer, m = rng.choice((1, -1)), rng.randint(1, 3)
+                    for _ in range(m):
+                        record = record.record_response(u, v, answer)
+                    _charge(levels, everyone ^ masks[u, v] if answer == 1 else masks[u, v], m)
+                    got = [
+                        next((j for j, level in enumerate(levels) if level >> i & 1), top + 1)
+                        for i in range(len(candidates))
+                    ]
+                    want = [min(record.cost(p), top + 1) for p in candidates]
+                    assert got == want, (n, ks, top)
+                    assert sum(level.bit_count() for level in levels) == sum(c <= top for c in want)
 
 
 def test_k_partitions_match_filtered_growth_strings():

@@ -149,6 +149,24 @@ def test_majority_decode_rejects_ties():
     )
 
 
+def test_majority_decode_needs_2l_plus_1_answers_per_pair():
+    plan = QueryPlan(4, 2, ((0, 1, 5), (0, 2, 4), (0, 3, 3)))
+    hidden = Partition(4, ((0, 1), (2, 3)))
+    answers = truthful_answers(plan, hidden)
+    assert majority_decode(plan, answers, 1) == hidden
+    # The first pair in plan order asked too few times, before any answer is read.
+    _assert_fails(
+        lambda: majority_decode(plan, answers, 2),
+        ValueError,
+        "pair (0, 2) is asked 4 times, fewer than 2l+1 = 5",
+    )
+    _assert_fails(
+        lambda: majority_decode(plan, answers[:-1], 5),
+        ValueError,
+        "pair (0, 1) is asked 5 times, fewer than 2l+1 = 11",
+    )
+
+
 def test_decode_rejects_undecodable_input_shapes():
     plan = build_plan(4, 2)
     good = truthful_answers(plan, Partition(4, ((0, 1), (2, 3))))
@@ -487,17 +505,19 @@ def test_plan_decodable_edge_cases():
 
 def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
     plan = build_plan(6, 2)
-    partitions._label_columns.cache_clear()
+    for table in (partitions._label_columns, partitions._join_masks):
+        table.cache_clear()
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
     for l in (0, 1):
         with pytest.raises(ExhaustionLimitError):
             plan_decodable(plan, l)
 
     def unreachable(n, k):
-        raise AssertionError(f"label columns built for n={n} past the cap")
+        raise AssertionError(f"tables built for n={n} past the cap")
 
     monkeypatch.setattr(partitions, "_label_columns", unreachable)
-    monkeypatch.setattr(plans, "_label_columns", unreachable)
+    monkeypatch.setattr(partitions, "_join_masks", unreachable)
+    monkeypatch.setattr(plans, "_join_masks", unreachable)
     for l in (0, 1):
         with pytest.raises(ExhaustionLimitError):
             plan_decodable(plan, l)
