@@ -130,15 +130,11 @@ def cmd_decode(args) -> int:
     answers = int_triples(
         _load_json(args.answers_file), "answers must be a JSON list of [u, v, sign] integer triples"
     )
-    if args.lies is not None and args.lies < 0:
-        raise ValueError(f"lie tolerance must be nonnegative, got {args.lies}")
     try:
-        if any(m != 1 for _, _, m in plan.queries):
-            if args.lies is None:
-                raise ValueError("plan repeats queries: pass --lies for majority decoding")
-            result = majority_decode(plan, answers, args.lies)
-        else:
+        if args.lies is None:
             result = decode_plan(plan, answers)
+        else:
+            result = majority_decode(plan, answers, args.lies)
     except DecodeError as exc:
         print(f"decode failed: {exc}", file=sys.stderr)
         return 1
@@ -239,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode recorded answers for a plan")
     p.add_argument("-n", type=int)
     p.add_argument("-k", type=int)
-    p.add_argument("-l", "--lies", type=int, default=None, help="majority level for repeated plans")
+    p.add_argument("-l", "--lies", type=int, default=None, help="strict majority against L lies per pair")
     p.add_argument("--robust", type=int, metavar="L")
     p.add_argument("--plan-file")
     p.add_argument("--answers-file", required=True, help="JSON list of [u, v, sign]")

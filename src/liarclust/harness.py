@@ -13,6 +13,7 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterator
 
 from .bounds import (
     adaptive_lower_bound_ceil,
@@ -365,108 +366,64 @@ class AuditReport:
         return all(r.ok for r in self.rows)
 
 
-def _audit_nonadaptive(n_range) -> list[AuditRow]:
-    rows = []
-    for n in n_range:
-        for k in list(range(2, n)) + [None]:
-            plan = build_plan(n, k)
-            if k is None:
-                want = comb(n, 2)
-            elif k == 2:
-                want = n - 1
-            elif k == 3 and n >= 5:
-                want = comb(n, 2) - n // 2
-            else:
-                want = comb(n, 2) - 1
-            decodable = plan_decodable(plan)
-            ok = (
-                plan.total_queries == want
-                and decodable
-                and plan_decodable(robust_plan(plan, 1), l=1)
-            )
-            rows.append(
-                AuditRow(
-                    cell=f"n={n} k={'?' if k is None else k}",
-                    expected=f"{want} queries, decodable",
-                    observed=f"{plan.total_queries} queries, "
-                    f"decodable={decodable}",
-                    ok=ok,
-                )
-            )
-    return rows
+def _audit_rows(table: int) -> Iterator[AuditRow]:
+    """One summary table's rows, computed lazily, one cell at a time.
 
-
-def _audit_adaptive(n_range) -> list[AuditRow]:
-    rows = []
-    for n in n_range:
-        for k in range(2, n + 1):
-            want_unknown = n * k - comb(k + 1, 2)
-            oracle = AdversarialOracle(n, k, 0)
-            got_unknown = run_game(
-                lambda o: insertion_cluster(n, o), oracle, 4 * (want_unknown + 1)
-            )
-            want_known = n * (k - 1) - comb(k, 2)
-            oracle = AdversarialOracle(n, k, 0)
-            got_known = run_game(
-                lambda o: insertion_cluster(n, o, k),
-                oracle,
-                4 * (want_known + 2),
-            )
-            ok = (
-                got_unknown.queries == want_unknown
-                and got_known.queries == want_known
-                and got_unknown.correct
-                and got_known.correct
-            )
-            rows.append(
-                AuditRow(
-                    cell=f"n={n} k={k}",
-                    expected=f"unknown {want_unknown}, known {want_known}",
-                    observed=f"unknown {got_unknown.queries}, known {got_known.queries}",
-                    ok=ok,
-                )
-            )
-    return rows
-
-
-def _audit_robust(n_range, l_range) -> list[AuditRow]:
-    rows = []
-    for n in n_range:
-        for k in range(2, n):
-            for l in l_range:
-                lower = adaptive_lower_bound_ceil(n, k, l)
-                upper = upper_bound_known(n, k, l)
-                oracle = AdversarialOracle(n, k, l)
-                outcome = run_game(
-                    lambda o: robust_insertion(n, l, o, k),
-                    oracle,
-                    4 * (upper + 1),
-                )
-                ok = outcome.correct and lower <= outcome.queries <= upper
-                rows.append(
-                    AuditRow(
-                        cell=f"n={n} k={k} l={l}",
-                        expected=f"in [{lower}, {upper}]",
-                        observed=str(outcome.queries),
-                        ok=ok,
-                    )
-                )
-    return rows
+    Table 1: every nonadaptive plan's size, its decodability, and that of
+    its repetition against one lie (n <= 7, k unknown or 2 <= k < n).
+    Table 2: the adversary forces insertion to exactly n(k-1) - C(k,2)
+    queries with k known and nk - C(k+1,2) with k unknown (2 <= k <= n <= 7).
+    Table 3: it forces robust insertion, told k, to exactly
+    upper_bound_known, which is at least adaptive_lower_bound_ceil
+    (3 <= n <= 6, k < n, l <= 2).
+    """
+    if table == 1:
+        for n in range(2, 8):
+            for k in [*range(2, n), None]:
+                plan = build_plan(n, k)
+                if k is None:
+                    want = comb(n, 2)
+                elif k == 2:
+                    want = n - 1
+                elif k == 3 and n >= 5:
+                    want = comb(n, 2) - n // 2
+                else:
+                    want = comb(n, 2) - 1
+                decodable = plan_decodable(plan)
+                ok = (plan.total_queries == want and decodable
+                      and plan_decodable(robust_plan(plan, 1), l=1))
+                yield AuditRow(f"n={n} k={'?' if k is None else k}",
+                               f"{want} queries, decodable",
+                               f"{plan.total_queries} queries, decodable={decodable}", ok)
+    elif table == 2:
+        for n in range(2, 8):
+            for k in range(2, n + 1):
+                want_unknown = n * k - comb(k + 1, 2)
+                got_unknown = run_game(lambda o: insertion_cluster(n, o),
+                                       AdversarialOracle(n, k, 0), 4 * (want_unknown + 2))
+                want_known = n * (k - 1) - comb(k, 2)
+                got_known = run_game(lambda o: insertion_cluster(n, o, k),
+                                     AdversarialOracle(n, k, 0), 4 * (want_known + 2))
+                ok = (got_unknown.queries == want_unknown and got_unknown.correct
+                      and got_known.queries == want_known and got_known.correct)
+                yield AuditRow(f"n={n} k={k}",
+                               f"unknown {want_unknown}, known {want_known}",
+                               f"unknown {got_unknown.queries}, known {got_known.queries}", ok)
+    elif table == 3:
+        for n in range(3, 7):
+            for k in range(2, n):
+                for l in range(3):
+                    lower = adaptive_lower_bound_ceil(n, k, l)
+                    upper = upper_bound_known(n, k, l)
+                    got = run_game(lambda o: robust_insertion(n, l, o, k),
+                                   AdversarialOracle(n, k, l), 4 * (upper + 2) + 4 * (l + 1) * n)
+                    ok = got.correct and lower <= got.queries == upper
+                    yield AuditRow(f"n={n} k={k} l={l}", f"{upper} (floor {lower})",
+                                   str(got.queries), ok)
+    else:
+        raise ValueError(f"no table {table}; tables are 1, 2, 3")
 
 
 def audit_table(table: int) -> AuditReport:
-    """Recheck one of the three summary tables against live runs.
-
-    Table 1: nonadaptive plan sizes and decodability.
-    Table 2: adaptive worst-case counts forced by the adversary.
-    Table 3: robust counts sandwiched between the closed-form bounds.
-    """
-    if table == 1:
-        rows = _audit_nonadaptive(range(3, 8))
-    elif table == 2:
-        rows = _audit_adaptive(range(2, 8))
-    elif table == 3:
-        rows = _audit_robust(range(3, 7), range(1, 3))
-    else:
-        raise ValueError(f"no table {table}; tables are 1, 2, 3")
-    return AuditReport(table=table, rows=tuple(rows))
+    """Recheck one of the three summary tables against live runs; see _audit_rows."""
+    return AuditReport(table=table, rows=tuple(_audit_rows(table)))

@@ -1,15 +1,18 @@
 """Partitions of the ground set {0, ..., n-1}.
 
 A Partition is stored canonically: elements sorted inside each cluster,
-clusters sorted by their smallest element.  Enumeration walks restricted
-growth strings, or their cached label columns for k clusters, which visits
-every partition once and in an order that tests elsewhere rely on
-("canonical enumeration order").  Counting is done independently of
-enumeration via the usual recurrences, so each side can audit the other.
+clusters sorted by their smallest element.  Enumeration reads the cached
+label columns of the partitions into k clusters, merged over k when k is
+not fixed.  It visits every partition once, in an order that tests
+elsewhere rely on ("canonical enumeration order": the lexicographic order
+of the label tuples, which are restricted growth strings).  Counting is
+done independently of enumeration via the usual recurrences, so each side
+can audit the other.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
@@ -88,31 +91,16 @@ class Partition:
         return {"n": self.n, "clusters": [list(c) for c in self.clusters]}
 
 
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All length-n restricted growth strings, lexicographically."""
-    if n == 0:
-        yield ()
-        return
-    a = [0] * n
-    cap = [1] * n  # cap[i] = max(a[:i]) + 1, the one new label position i may open
-    while True:
-        yield tuple(a)
-        i = n - 1
-        while i > 0 and a[i] >= cap[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        m = max(cap[i] - 1, a[i]) + 1
-        for j in range(i + 1, n):
-            a[j] = 0
-            cap[j] = m
-
-
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of {0..n-1}, in canonical enumeration order."""
+    """Every partition of {0..n-1}, in canonical enumeration order.
+
+    Each k's label tuples come in that order, so merging them over k gives
+    every partition's labels in it too.
+    """
     check_enumeration_n(n)
-    for labels in _restricted_growth_strings(n):
+    if n == 0:
+        yield Partition(0, ())
+    for labels in heapq.merge(*(zip(*_label_columns(n, k)) for k in range(1, n + 1))):
         yield Partition.from_labels(labels)
 
 

@@ -5,10 +5,11 @@ disagreement cost of a partition is a sum over the record, with no level
 masks.  k_inseparable asks the plan decoder's coloring search whether a
 pair can be split, without going through the adversary's level masks.
 k_partitions filters every restricted growth string, so it reads none of
-the label columns that the package enumerates k-partitions from, nor does
+the label columns that the package enumerates partitions from, nor does
 label_tuples, which reads its partitions' labels, and
 relabel_tables applies every permutation of the elements to every
 k-partition, where the solver closes the adjacent swaps under composition.
+AUDIT_GRIDS spells out the cells that each harness audit table must name.
 """
 
 from __future__ import annotations
@@ -18,14 +19,35 @@ from functools import cache
 from typing import Iterator
 
 from liarclust.learners.plans import _surjective_class_partitions
-from liarclust.partitions import Partition, _restricted_growth_strings
+from liarclust.partitions import Partition
 
 Pair = tuple[int, int]
 
 
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All length-n restricted growth strings, lexicographically."""
+    if n == 0:
+        yield ()
+        return
+    a = [0] * n
+    cap = [1] * n  # cap[i] = max(a[:i]) + 1, the one new label position i may open
+    while True:
+        yield tuple(a)
+        i = n - 1
+        while i > 0 and a[i] >= cap[i]:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        m = max(cap[i] - 1, a[i]) + 1
+        for j in range(i + 1, n):
+            a[j] = 0
+            cap[j] = m
+
+
 def k_partitions(n: int, k: int) -> Iterator[Partition]:
     """Every partition of {0..n-1} into exactly k clusters, in canonical order."""
-    for labels in _restricted_growth_strings(n):
+    for labels in restricted_growth_strings(n):
         if (max(labels) if labels else -1) == k - 1:
             yield Partition.from_labels(labels)
 
@@ -52,6 +74,19 @@ def relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             t[index_of[Partition.from_labels(p.labels[u] for u in perm)]] = i
         tables.add(tuple(t))
     return tuple(sorted(tables))
+
+
+# Audit table -> its cells in row order: (n, k) with None for unknown k, or (n, k, l).
+AUDIT_GRIDS = {
+    1: [(n, k) for n in range(2, 8) for k in [*range(2, n), None]],
+    2: [(n, k) for n in range(2, 8) for k in range(2, n + 1)],
+    3: [(n, k, l) for n in range(3, 7) for k in range(2, n) for l in range(3)],
+}
+
+
+def audit_cell(cell: tuple) -> str:
+    """How an audit row names a grid cell, as in "n=5 k=3 l=1", with k=? for unknown k."""
+    return " ".join(f"{name}={'?' if x is None else x}" for name, x in zip("nkl", cell))
 
 
 class SignedAnswers:

@@ -30,9 +30,9 @@ from liarclust.bounds import (
 from liarclust.game import SearchBudgetExceededError, exact_game_value
 from liarclust.harness import (
     ExperimentConfig,
+    _audit_rows,
     exact_expected_queries,
     monte_carlo_expected,
-    run_game,
 )
 from liarclust.learners.adaptive import (
     insertion_cluster,
@@ -57,7 +57,7 @@ from liarclust.partitions import (
     random_k_partition,
     stirling2,
 )
-from references import adjacency
+from references import AUDIT_GRIDS, adjacency, audit_cell
 
 
 def _report(num: int, label: str, failures: list[str], covered: str) -> None:
@@ -72,72 +72,59 @@ def _report(num: int, label: str, failures: list[str], covered: str) -> None:
     assert not failures, f"criterion {num:02d} ({label}): {failures[:3]}"
 
 
+def _audited(table: int, failures: list[str]):
+    """Yield (grid cell, row) over a harness audit table's rows as they are computed.
+
+    A row that is not ok is a failure, and so is a table whose rows do not
+    name exactly the acceptance grid, in order.
+    """
+    rows = _audit_rows(table)
+    for cell in AUDIT_GRIDS[table]:
+        row = next(rows, None)
+        if row is None or row.cell != audit_cell(cell):
+            failures.append(f"table {table} row {row and row.cell} in place of {audit_cell(cell)}")
+            return
+        if not row.ok:
+            failures.append(f"{row.cell}: expected {row.expected}, got {row.observed}")
+        yield cell, row
+    extra = next(rows, None)
+    if extra is not None:
+        failures.append(f"table {table} names {extra.cell} past its grid")
+
+
 def test_01_adversary_forces_exact_adaptive_worst_case():
     failures: list[str] = []
     slowest = 0.0
-    cells = 0
-    for n in range(3, 8):
-        for k in range(2, n):
-            t0 = time.perf_counter()
-            want = n * (k - 1) - comb(k, 2)
-            got = run_game(
-                lambda o: insertion_cluster(n, o, k),
-                AdversarialOracle(n, k, 0),
-                4 * (want + 2),
-            )
-            if not got.correct or got.queries != want:
-                failures.append(f"known n={n} k={k}: {got.queries} queries, wanted {want}")
-            want = n * k - comb(k + 1, 2)
-            got = run_game(
-                lambda o: insertion_cluster(n, o),
-                AdversarialOracle(n, k, 0),
-                4 * (want + 2),
-            )
-            if not got.correct or got.queries != want:
-                failures.append(f"unknown n={n} k={k}: {got.queries} queries, wanted {want}")
-            cell_time = time.perf_counter() - t0
-            slowest = max(slowest, cell_time)
-            if cell_time >= 1.0:
-                failures.append(f"cell n={n} k={k} took {cell_time:.2f}s")
-            cells += 1
+    t0 = time.perf_counter()
+    for (n, k), _ in _audited(2, failures):
+        cell_time = time.perf_counter() - t0
+        slowest = max(slowest, cell_time)
+        if cell_time >= 1.0:
+            failures.append(f"cell n={n} k={k} took {cell_time:.2f}s")
+        t0 = time.perf_counter()
     _report(1, "exact adaptive worst case", failures,
-            f"{cells} cells with 2 <= k < n <= 7, slowest cell {slowest * 1000:.0f}ms")
+            f"{len(AUDIT_GRIDS[2])} cells with 2 <= k <= n <= 7, k known and unknown, "
+            f"slowest cell {slowest * 1000:.0f}ms")
 
 
 def test_02_plan_sizes_and_exhaustive_decoding():
     t0 = time.perf_counter()
     failures: list[str] = []
-    plans = 0
-    for n in range(2, 8):
-        for k in [None] + list(range(2, n)):
-            plan = build_plan(n, k)
-            if k is None:
-                want = comb(n, 2)
-            elif k == 2:
-                want = n - 1
-            elif (n, k) == (4, 3):
-                want = 5
-            elif k == 3:
-                want = comb(n, 2) - n // 2
-            else:
-                want = comb(n, 2) - 1
-            if plan.total_queries != want:
-                failures.append(f"n={n} k={k}: {plan.total_queries} queries, wanted {want}")
-                continue
-            if not plan_decodable(plan, 0):
-                failures.append(f"n={n} k={k}: plan not decodable")
-                continue
-            hiddens = enumerate_partitions(n) if k is None else enumerate_k_partitions(n, k)
-            for hidden in hiddens:
-                got = decode_plan(plan, truthful_answers(plan, hidden))
-                if got != hidden:
-                    failures.append(f"n={n} k={k}: {hidden.clusters} decoded as {got.clusters}")
-            plans += 1
+    for (n, k), row in _audited(1, failures):
+        if not row.ok:
+            continue
+        plan = build_plan(n, k)
+        hiddens = enumerate_partitions(n) if k is None else enumerate_k_partitions(n, k)
+        for hidden in hiddens:
+            got = decode_plan(plan, truthful_answers(plan, hidden))
+            if got != hidden:
+                failures.append(f"n={n} k={k}: {hidden.clusters} decoded as {got.clusters}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:
         failures.append(f"took {elapsed:.1f}s, cap is 30s")
     _report(2, "plan sizes and decoding", failures,
-            f"{plans} plans for n <= 7, every hidden partition, {elapsed:.1f}s")
+            f"{len(AUDIT_GRIDS[1])} plans for n <= 7, every hidden partition, "
+            f"repeated against one lie, {elapsed:.1f}s")
 
 
 def test_03_plans_of_minimal_size():
@@ -205,29 +192,10 @@ def test_04_game_value_between_the_bounds():
 
 def test_05_adversary_pushes_robust_insertion_to_the_floor():
     failures: list[str] = []
-    cells = 0
-    for n in range(3, 7):
-        for k in range(2, n):
-            for l in range(3):
-                floor = adaptive_lower_bound_ceil(n, k, l)
-                upper = upper_bound_known(n, k, l)
-                cap = 4 * (upper + 2) + 4 * (l + 1) * n
-                got = run_game(
-                    lambda o: robust_insertion(n, l, o, k),
-                    AdversarialOracle(n, k, l),
-                    cap,
-                )
-                cells += 1
-                if not got.correct:
-                    failures.append(f"n={n} k={k} l={l}: wrong partition")
-                if got.queries < floor:
-                    failures.append(f"n={n} k={k} l={l}: {got.queries} queries under floor {floor}")
-                if got.queries != upper:
-                    failures.append(
-                        f"n={n} k={k} l={l}: {got.queries} queries, upper bound is {upper}"
-                    )
+    for _ in _audited(3, failures):
+        pass
     _report(5, "adversary pushes robust insertion to its upper bound", failures,
-            f"{cells} cells with n <= 6, l <= 2 all at or above their floor, "
+            f"{len(AUDIT_GRIDS[3])} cells with n <= 6, l <= 2 all at or above their floor, "
             "each exactly at upper_bound_known")
 
 

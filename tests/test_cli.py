@@ -174,10 +174,14 @@ def test_decode_rejects_a_negative_lie_tolerance_for_every_plan(capsys, tmp_path
         argv = ["decode", "-n", "4", "-k", "2", *robust, "--answers-file", str(answers_file)]
         code, out, err = run_cli(capsys, *argv, "--lies", "-1")
         assert (code, out, err) == (2, "", "error: lie tolerance must be nonnegative, got -1\n")
-        # A positive tolerance still decodes, and a plan without repeats ignores it.
-        code, out, _ = run_cli(capsys, *argv, "--lies", "1")
-        assert code == 0
-        assert json.loads(out) == {"n": 4, "clusters": [[0, 1], [2, 3]]}
+        # A positive tolerance decodes a plan whose repeats carry it, and
+        # refuses a plan without repeats.
+        code, out, err = run_cli(capsys, *argv, "--lies", "1")
+        if robust:
+            assert (code, json.loads(out), err) == (0, {"n": 4, "clusters": [[0, 1], [2, 3]]}, "")
+        else:
+            want = "error: pair (0, 1) is asked 1 times, fewer than 2l+1 = 3\n"
+            assert (code, out, err) == (2, "", want)
 
 
 def test_decode_rejects_a_lie_tolerance_the_repeats_cannot_carry(capsys, tmp_path):
@@ -297,6 +301,19 @@ def test_audit_single_table(capsys):
     assert code == 0
     assert "audit passed" in out
     assert "FAIL" not in out
+
+
+def test_audit_exits_one_on_failing_rows(capsys, monkeypatch):
+    from liarclust import harness
+
+    exact = harness.upper_bound_known
+    monkeypatch.setattr(harness, "upper_bound_known", lambda n, k, l: exact(n, k, l) + (l == 2))
+    code, out, _ = run_cli(capsys, "audit", "--table", "3")
+    lines = out.splitlines()
+    failed = [line for line in lines if line.startswith("table 3 FAIL")]
+    assert code == 1
+    assert len(failed) == 10 and all(" l=2: " in line for line in failed)
+    assert len(lines) == 31 and lines[-1] == "audit failed (10 rows)"
 
 
 def test_usage_errors_exit_two(capsys):

@@ -29,6 +29,7 @@ from liarclust.learners.adaptive import (
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
+from references import AUDIT_GRIDS, audit_cell
 
 
 def test_simulation_is_deterministic():
@@ -247,6 +248,6 @@ def test_audit_tables_pass():
     for table in (1, 2, 3):
         report = audit_table(table)
         assert report.passed, [r for r in report.rows if not r.ok]
-        assert report.rows
+        assert [r.cell for r in report.rows] == [audit_cell(c) for c in AUDIT_GRIDS[table]]
     with pytest.raises(ValueError):
         audit_table(4)

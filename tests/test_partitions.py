@@ -6,20 +6,20 @@ import random
 
 import pytest
 
+from liarclust import partitions
 from liarclust.limits import ExhaustionLimitError
 from liarclust.partitions import (
     Partition,
     _charge,
     _join_masks,
     _label_columns,
-    _restricted_growth_strings,
     bell,
     enumerate_k_partitions,
     enumerate_partitions,
     random_k_partition,
     stirling2,
 )
-from references import SignedAnswers, k_partitions, label_tuples
+from references import SignedAnswers, k_partitions, label_tuples, restricted_growth_strings
 
 # Frozen reference counts (standard tables, written down before the code).
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -175,13 +175,15 @@ def test_charge_matches_reference_costs_capped_past_the_top():
 
 def test_k_partitions_match_filtered_growth_strings():
     for n in range(9):
+        want = [Partition.from_labels(s) for s in restricted_growth_strings(n)]
+        assert list(enumerate_partitions(n)) == want, n
         for k in range(-1, n + 2):
             assert list(enumerate_k_partitions(n, k)) == list(k_partitions(n, k)), (n, k)
 
 
 def test_label_columns_match_filtered_growth_strings():
     for n in range(11):
-        strings = list(_restricted_growth_strings(n))
+        strings = list(restricted_growth_strings(n))
         for k in range(n + 2):
             rows = [s for s in strings if max(s) == k - 1] if 0 < k <= n else []
             want = tuple(bytes(col) for col in zip(*rows))
@@ -189,9 +191,14 @@ def test_label_columns_match_filtered_growth_strings():
 
 
 def test_enumeration_limit_guard(monkeypatch):
+    def unreachable(n, k):
+        raise AssertionError(f"tables built for n={n} past the cap")
+
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
-    with pytest.raises(ExhaustionLimitError):
-        list(enumerate_partitions(6))
+    with monkeypatch.context() as patch:
+        patch.setattr(partitions, "_label_columns", unreachable)
+        with pytest.raises(ExhaustionLimitError):
+            list(enumerate_partitions(6))
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "6")
     assert len(list(enumerate_partitions(6))) == 203
 
