@@ -16,11 +16,11 @@ is out of the game no matter how much further weight it collects.  A
 position is a bytes object with one capped cost per candidate, so l is at
 most MAX_SOLVER_LIES; it is read through per-level masks, and a child
 position is one big-integer addition away.  Positions are identified up to
-relabeling of the ground set: the key is the least image of the position
-under the relabel tables, one operator.itemgetter each.  Only the tables
-that move a least-cost candidate to the front can give the least image, so
-only those are applied.  Keys are memoized per raw position for the life of
-one search.
+relabeling of the ground set by relabel tables, one operator.itemgetter each:
+a class is one orbit's candidates of one cost, and the key is the least image
+that puts the class needing the fewest tables at its orbit's first index, so
+two positions share a key exactly when one relabels the other.  Keys are
+memoized per raw position for the life of one search.
 
 No questioner beats Berlekamp's volume bound, bounds.volume_bound, so a
 position whose bound already reaches the search window is cut before it is
@@ -84,17 +84,27 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 
 @cache
-def _relabel_groups(n: int, k: int) -> tuple[itemgetter, tuple[tuple[itemgetter, ...], ...]]:
-    """The relabel tables as getters, grouped by the candidate each moves to index 0.
+def _relabel_groups(n: int, k: int) -> tuple[tuple[itemgetter, int, tuple], ...]:
+    """The relabel tables as getters, grouped per orbit of candidates under relabeling.
 
-    Returns one getter over the groups' sources, in group order, and each
-    group's getters.  For 1 < k < n the candidates in the orbit of
-    candidate 0 number at least n, so the sources' getter returns a tuple.
+    One entry per orbit, in order of its first index j: a getter over the
+    orbit's members, the number of tables that move each member to index j,
+    and per member c the getters of the tables with t[j] == c.  Each table
+    has one getter, which every orbit's groups share.  For 1 < k < n every
+    orbit has at least two members, so the members' getter returns a tuple.
     """
-    groups: dict[int, list[itemgetter]] = {}
-    for t in _relabel_tables(n, k):
-        groups.setdefault(t[0], []).append(itemgetter(*t))
-    return itemgetter(*groups), tuple(map(tuple, groups.values()))
+    tables = _relabel_tables(n, k)
+    getters = [itemgetter(*t) for t in tables]
+    orbits, seen = [], set()
+    for j in range(len(tables[0])):
+        if j not in seen:
+            groups: dict[int, list[itemgetter]] = {}
+            for t, g in zip(tables, getters):
+                groups.setdefault(t[j], []).append(g)
+            seen.update(groups)
+            per = len(tables) // len(groups)
+            orbits.append((itemgetter(*groups), per, tuple(map(tuple, groups.values()))))
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)
@@ -125,9 +135,8 @@ class _MinimaxSolver:
         self.size = stirling2(n, k)
         self.levels = range(l + 1)
         self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
-        self.live_table = bytes(c <= l for c in range(256))
         self.join = [self._spread(_join_masks(n, (k,))[p]) for p in _pair_list(n)]
-        self.sources, self.groups = _relabel_groups(n, k)
+        self.orbits = _relabel_groups(n, k)
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
@@ -137,48 +146,40 @@ class _MinimaxSolver:
         return int.from_bytes(bytes(mask >> i & 1 for i in range(self.size)), "little")
 
     def _canon(self, s: bytes) -> bytes:
-        """The least image of s under the relabel tables, memoized.
+        """The least image of s over the tables of its smallest class, memoized.
 
-        Only the tables whose source holds the least cost can win: every
-        other table puts a larger first byte in front.
+        A class is an orbit, with first index j, and a cost: its tables move
+        an orbit member of that cost to index j, so it has (members of that
+        cost) x (tables per member) of them.  The smallest class, ties to the
+        lower cost and then the earlier orbit, is the same for every
+        relabeling of s, and its images are the images of s that hold that
+        cost at byte j; so two positions share a key exactly when one
+        relabels the other.
         """
         key = self.keys.get(s)
         if key is None:
-            firsts = self.sources(s)
-            m = min(firsts)
-            images = [g(s) for f, group in zip(firsts, self.groups) if f == m for g in group]
+            least = _INF
+            for members, per, groups in self.orbits:
+                if per <= least:  # each class of this orbit needs at least per tables
+                    costs = members(s)
+                    for c in set(costs):
+                        size = costs.count(c) * per
+                        if size < least or size == least and c < cost:
+                            least, cost, read, pick = size, c, costs, groups
+            images = [g(s) for c, gs in zip(read, pick) if c == cost for g in gs]
             key = self.keys[s] = bytes(min(images))
         return key
 
-    def _children(self, s: bytes, pi: int) -> list[tuple[int, int, bytes, tuple[int, ...]]]:
-        """Legal (bound, survivor count, child, histogram) for both answers to pair pi.
-
-        On a join answer the live candidates that separate the pair cost one
-        more, on a split answer those that join it; a candidate already past
-        l stays at l + 1, which still fits a byte.
-        """
-        x = int.from_bytes(s, "little")
-        live = int.from_bytes(s.translate(self.live_table), "little")
-        join = self.join[pi]
-        out = []
-        for bump in (live & ~join, live & join):
-            child = (x + bump).to_bytes(self.size, "little")
-            hist = tuple(map(child.count, self.levels))
-            live_after = sum(hist)
-            if live_after:
-                out.append((volume_bound(hist, self.l), live_after, child, hist))
-        return out
-
     def solve(self) -> int:
         s = bytes(self.size)
-        return self._fq(s, tuple(map(s.count, self.levels)), 0, _INF)
+        hist = tuple(map(s.count, self.levels))
+        return self._fq(s, hist, volume_bound(hist, self.l), self.size, 0, _INF)
 
-    def _fq(self, s: bytes, hist: tuple[int, ...], alpha: int, beta: int) -> int:
-        live = sum(hist)
+    def _fq(self, s: bytes, hist: tuple, lb: int, live: int, alpha: int, beta: int) -> int:
+        """Value of position s, given its cost histogram, volume bound and live count."""
         assert live >= 1, "reached an inconsistent position"
         if live == 1:
             return 0
-        lb = volume_bound(hist, self.l)
         if lb >= beta:
             return lb  # a valid lower bound, so the parent cuts here too
 
@@ -230,11 +231,13 @@ class _MinimaxSolver:
         assert moves, "non-terminal position with no informative pair"
         moves.sort()
 
+        x = int.from_bytes(s, "little")
+        live_mask = sum(mask for mask, _, _, _ in by_level)
         a0, b0 = alpha, beta
         value = _INF
         cur_beta = beta
         for _, _, pi in moves:
-            v = self._fr(s, pi, alpha, cur_beta)
+            v = self._fr(x, live_mask, pi, alpha, cur_beta)
             if v < value:
                 value = v
                 if value < cur_beta:
@@ -253,14 +256,26 @@ class _MinimaxSolver:
         self.tt[key] = (flag, value)
         return value
 
-    def _fr(self, s: bytes, pi: int, alpha: int, beta: int) -> int:
-        children = self._children(s, pi)
+    def _fr(self, x: int, live: int, pi: int, alpha: int, beta: int) -> int:
+        """Value of asking pair pi in the position x with live mask live.
+
+        On a join answer the live candidates that separate the pair cost one
+        more, on a split answer those that join it; a candidate already past
+        l stays at l + 1, which still fits a byte.  The pair is informative,
+        so each answer spares some live candidate.
+        """
+        children = []
+        for bump in (live & ~self.join[pi], live & self.join[pi]):
+            child = (x + bump).to_bytes(self.size, "little")
+            hist = tuple(map(child.count, self.levels))
+            children.append(((volume_bound(hist, self.l), sum(hist)), child, hist))
         # Try the answer with the higher bound first, then the one keeping
         # more candidates alive.
-        children.sort(key=lambda t: (-t[0], -t[1]))
+        if children[1][0] > children[0][0]:
+            children.reverse()
         value = -_INF
-        for _, _, child, hist in children:
-            v = 1 + self._fq(child, hist, alpha - 1, beta - 1)
+        for (lb, survivors), child, hist in children:
+            v = 1 + self._fq(child, hist, lb, survivors, alpha - 1, beta - 1)
             if v > value:
                 value = v
                 if value > alpha:

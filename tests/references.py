@@ -8,7 +8,8 @@ k_partitions filters every restricted growth string, so it reads none of
 the label columns that the package enumerates partitions from, nor does
 label_tuples, which reads its partitions' labels, and
 relabel_tables applies every permutation of the elements to every
-k-partition, where the solver closes the adjacent swaps under composition.
+k-partition, where the solver closes the adjacent swaps under composition;
+canonical_key applies the solver's key rule to every one of those tables.
 AUDIT_GRIDS spells out the cells that each harness audit table must name.
 """
 
@@ -74,6 +75,25 @@ def relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
             t[index_of[Partition.from_labels(p.labels[u] for u in perm)]] = i
         tables.add(tuple(t))
     return tuple(sorted(tables))
+
+
+def canonical_key(n: int, k: int, costs: bytes) -> bytes:
+    """The solver's key of a position with one cost per k-partition, by brute force.
+
+    The orbit of index j holds the t[j] over every table t, and it is named
+    by its first index.  Each (orbit, cost) class is the set of tables t with
+    costs[t[j]] == cost at the orbit's first index j; the class with the
+    fewest tables wins, ties to the lower cost and then the lower j, and the
+    key is the least image of costs over the winner's tables.
+    """
+    tables = relabel_tables(n, k)
+    classes = []
+    for j in sorted({min(t[j] for t in tables) for j in range(len(costs))}):
+        for cost in set(costs[t[j]] for t in tables):
+            picked = [t for t in tables if costs[t[j]] == cost]
+            classes.append((len(picked), cost, j, picked))
+    picked = min(classes, key=lambda c: c[:3])[3]
+    return min(bytes(costs[i] for i in t) for t in picked)
 
 
 # Audit table -> its cells in row order: (n, k) with None for unknown k, or (n, k, l).

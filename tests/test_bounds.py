@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import comb, isclose, log2
+from math import isclose, log2
 
 import pytest
 

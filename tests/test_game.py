@@ -21,7 +21,14 @@ from liarclust.game import (
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle
 from liarclust.partitions import Partition, _join_masks, stirling2
-from references import SignedAnswers, k_inseparable, k_partitions, label_tuples, relabel_tables
+from references import (
+    SignedAnswers,
+    canonical_key,
+    k_inseparable,
+    k_partitions,
+    label_tuples,
+    relabel_tables,
+)
 
 
 def _reference_value(n: int, k: int, l: int, start: SignedAnswers | None = None) -> int:
@@ -420,10 +427,10 @@ def test_exact_game_value_pins_values_and_node_counts():
 
 
 def test_exact_game_values_past_five_elements():
-    # (value, nodes) of cells the volume bound and the first-byte canonical
-    # keys made cheap, each value inside its closed-form bounds.  (6,4,1) is
-    # the largest search here, a few seconds; (6,5,1) = 29 takes longer and
-    # is listed in the README.
+    # (value, nodes) of cells the volume bound and the smallest-class
+    # canonical keys made cheap, each value inside its closed-form bounds.
+    # (6,4,1) is the largest search here, a few seconds; (6,5,1) = 29 and
+    # (6,3,2) = 19 take longer and are listed in the README.
     pinned = {
         (6, 2, 1): (9, 38),
         (6, 2, 2): (12, 298),
@@ -437,23 +444,41 @@ def test_exact_game_values_past_five_elements():
         assert adaptive_lower_bound_ceil(n, k, l) <= value <= upper_bound_known(n, k, l)
 
 
+def test_exact_game_value_seven_elements_three_clusters_one_lie():
+    # 301 candidates: the value lies within its closed-form bounds [14, 23]
+    # and is at most 18, the worst case of the greedy questioner that always
+    # asks the pair this search's move ordering puts first.
+    got = exact_game_value(7, 3, 1)
+    assert (got.value, got.nodes) == (16, 1295)
+    assert adaptive_lower_bound_ceil(7, 3, 1) == 14 and upper_bound_known(7, 3, 1) == 23
+    assert 14 <= got.value <= 18
+
+
 def test_relabel_tables_match_every_permutation():
     for n in range(3, 7):
         for k in range(2, n):
             assert _relabel_tables(n, k) == relabel_tables(n, k), (n, k)
 
 
-def test_solver_canonical_key_is_the_least_relabeling():
+def test_solver_key_follows_the_smallest_class_rule():
+    # Exact key bytes against the rule applied by brute force over every
+    # table; the key is an image of the position, and every relabeling of
+    # the position gets the same key.
     rng = random.Random(20231)
-    for n, k in [(4, 2), (5, 3), (6, 3), (6, 4)]:
+    for n, k in [(4, 2), (5, 3), (5, 4), (6, 3), (6, 4)]:
         tables = relabel_tables(n, k)
         for l in range(3):
             solver = _MinimaxSolver(n, k, l, node_budget=1)
-            for _ in range(40):
+            for trial in range(40):
                 s = bytes(rng.randint(0, l + 1) for _ in range(len(tables[0])))
-                want = min(itemgetter(*t)(s) for t in tables)
-                assert tuple(solver._canon(s)) == want, (n, k, l, s)
-                assert tuple(solver._canon(s)) == want  # memoized key
+                key = solver._canon(s)
+                assert key == canonical_key(n, k, s), (n, k, l, s)
+                assert solver._canon(s) == key  # memoized key
+                images = {bytes(itemgetter(*t)(s)) for t in tables}
+                assert key in images, (n, k, l, s)
+                if trial < 5:
+                    for image in images:
+                        assert solver._canon(image) == key, (n, k, l, s, image)
 
 
 def test_too_deep_searches_give_up_with_the_budget_error(monkeypatch):
