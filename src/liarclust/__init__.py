@@ -10,30 +10,25 @@ a CLI.
 """
 
 from .bounds import (
-    BoundsReport,
     adaptive_lower_bound,
     adaptive_lower_bound_ceil,
-    binary_entropy,
     build_bounds_report,
     expected_queries,
     expected_queries_robust_worst_case,
     expected_queries_worst_case,
     hamming_ball_volume,
-    info_lower_bound_known,
-    info_lower_bound_unknown,
     upper_bound_known,
     upper_bound_unknown,
     volume_bound,
 )
 from .game import GameValueResult, SearchBudgetExceededError, exact_game_value
 from .harness import (
-    AuditReport,
     ExperimentConfig,
     LEARNERS,
     QueryBudgetExceededError,
     RunOutcome,
     SimulationResult,
-    audit_table,
+    audit_rows,
     exact_expected_queries,
     monte_carlo_expected,
     run_game,
@@ -59,7 +54,7 @@ from .learners.plans import (
     robust_plan,
     truthful_answers,
 )
-from .limits import ExhaustionLimitError, max_enumeration_n, max_permutation_n
+from .limits import ExhaustionLimitError
 from .oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from .partitions import (
     Partition,
@@ -75,8 +70,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdversarialOracle",
     "AmbiguousAnswersError",
-    "AuditReport",
-    "BoundsReport",
     "DecodeError",
     "ExhaustionLimitError",
     "ExperimentConfig",
@@ -94,9 +87,8 @@ __all__ = [
     "TruthfulOracle",
     "adaptive_lower_bound",
     "adaptive_lower_bound_ceil",
-    "audit_table",
+    "audit_rows",
     "bell",
-    "binary_entropy",
     "build_bounds_report",
     "build_plan",
     "decode_plan",
@@ -108,12 +100,8 @@ __all__ = [
     "expected_queries_robust_worst_case",
     "expected_queries_worst_case",
     "hamming_ball_volume",
-    "info_lower_bound_known",
-    "info_lower_bound_unknown",
     "insertion_cluster",
     "majority_decode",
-    "max_enumeration_n",
-    "max_permutation_n",
     "monte_carlo_expected",
     "parallel_insertion",
     "plan_decodable",

@@ -2,7 +2,7 @@
 
 Worst-case bounds for adaptive learning against up to l lies, expected
 query counts for the randomized insertion learner against a truthful
-source, and two information-theoretic floors (entropy counting and
+source, and two counting floors (log2 of the candidate count, and
 Berlekamp's volume bound, which the minimax solver applies to every
 position).  Everything that can be a Fraction is a Fraction; floats
 appear only where a logarithm forces them.
@@ -11,12 +11,11 @@ appear only where a logarithm forces them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb
 
-from .partitions import bell, stirling2
+from .partitions import stirling2
 
 
 def adaptive_lower_bound(n: int, k: int, l: int) -> Fraction:
@@ -96,40 +95,6 @@ def expected_queries_robust_worst_case(n: int, k: int, l: int) -> Fraction:
     return (l + 1) * expected_queries_worst_case(n, k) + l
 
 
-def binary_entropy(x: float) -> float:
-    """Entropy in bits of a coin with heads probability x."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must be in [0, 1], got {x}")
-    if x in (0.0, 1.0):
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def info_lower_bound_unknown(n: int, lie_fraction: float = 0.0) -> float:
-    """Entropy floor on queries to name one of the bell(n) partitions.
-
-    With answers flipped adversarially at rate lie_fraction < 1/2, each
-    query carries at most 1 - H(lie_fraction) bits.
-    """
-    return math.log2(bell(n)) / _channel_capacity(lie_fraction)
-
-
-def info_lower_bound_known(n: int, k: int, lie_fraction: float = 0.0) -> float:
-    """Entropy floor when the answer names one of stirling2(n, k) partitions."""
-    count = stirling2(n, k)
-    if count < 1:
-        raise ValueError(f"no partitions of {n} elements into {k} clusters")
-    return math.log2(count) / _channel_capacity(lie_fraction)
-
-
-def _channel_capacity(lie_fraction: float) -> float:
-    if not 0.0 <= lie_fraction < 0.5:
-        raise ValueError(
-            f"lie fraction must be in [0, 1/2), got {lie_fraction}"
-        )
-    return 1.0 - binary_entropy(lie_fraction)
-
-
 @cache
 def hamming_ball_volume(l: int, q: int) -> int:
     """Number of binary length-q strings within Hamming distance l of a fixed one; cached."""
@@ -167,50 +132,18 @@ def volume_bound(hist: tuple[int, ...], l: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class BoundsReport:
-    """Every closed-form number for one (n, k, l) cell, exact where possible."""
-
-    n: int
-    k: int
-    l: int
-    adaptive_lower: Fraction
-    adaptive_lower_ceil: int
-    adaptive_upper_known: int
-    adaptive_upper_unknown: int
-    expected_worst_case: Fraction
-    expected_robust_worst_case: Fraction
-    entropy_floor_known: float
-    counting_floor: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "l": self.l,
-            "adaptive_lower": str(self.adaptive_lower),
-            "adaptive_lower_ceil": self.adaptive_lower_ceil,
-            "adaptive_upper_known": self.adaptive_upper_known,
-            "adaptive_upper_unknown": self.adaptive_upper_unknown,
-            "expected_worst_case": str(self.expected_worst_case),
-            "expected_robust_worst_case": str(self.expected_robust_worst_case),
-            "entropy_floor_known": self.entropy_floor_known,
-            "counting_floor": self.counting_floor,
-        }
-
-
-def build_bounds_report(n: int, k: int, l: int) -> BoundsReport:
-    """Assemble every bound for one cell; needs 2 <= k < n."""
-    return BoundsReport(
-        n=n,
-        k=k,
-        l=l,
-        adaptive_lower=adaptive_lower_bound(n, k, l),
-        adaptive_lower_ceil=adaptive_lower_bound_ceil(n, k, l),
-        adaptive_upper_known=upper_bound_known(n, k, l),
-        adaptive_upper_unknown=upper_bound_unknown(n, k, l),
-        expected_worst_case=expected_queries_worst_case(n, k),
-        expected_robust_worst_case=expected_queries_robust_worst_case(n, k, l),
-        entropy_floor_known=info_lower_bound_known(n, k),
-        counting_floor=volume_bound((stirling2(n, k),), l),
-    )
+def build_bounds_report(n: int, k: int, l: int) -> dict:
+    """Every closed-form number for one cell, as JSON with exact fractions; needs 2 <= k < n."""
+    return {
+        "n": n,
+        "k": k,
+        "l": l,
+        "adaptive_lower": str(adaptive_lower_bound(n, k, l)),
+        "adaptive_lower_ceil": adaptive_lower_bound_ceil(n, k, l),
+        "adaptive_upper_known": upper_bound_known(n, k, l),
+        "adaptive_upper_unknown": upper_bound_unknown(n, k, l),
+        "expected_worst_case": str(expected_queries_worst_case(n, k)),
+        "expected_robust_worst_case": str(expected_queries_robust_worst_case(n, k, l)),
+        "entropy_floor_known": math.log2(stirling2(n, k)),
+        "counting_floor": volume_bound((stirling2(n, k),), l),
+    }

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -21,7 +22,8 @@ from .harness import (
     LEARNERS,
     ORACLE_KINDS,
     ExperimentConfig,
-    audit_table,
+    audit_rows,
+    exact_expected_queries,
     monte_carlo_expected,
     simulate,
 )
@@ -101,7 +103,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    _emit(build_bounds_report(args.n, args.k, args.lies).to_json_dict())
+    _emit(build_bounds_report(args.n, args.k, args.lies))
     return 0
 
 
@@ -148,7 +150,7 @@ def cmd_game_value(args) -> int:
     except SearchBudgetExceededError as exc:
         print(f"search gave up: {exc}", file=sys.stderr)
         return 3
-    _emit(result.to_json_dict())
+    _emit(dataclasses.asdict(result))
     return 0
 
 
@@ -157,23 +159,24 @@ def cmd_expected(args) -> int:
         raise ValueError("provide --sizes or -n")
     config = ExperimentConfig(
         learner=args.learner,
-        n=sum(args.sizes) if args.sizes else args.n,
+        n=args.n if args.n is not None else sum(args.sizes),
         k=args.k,
         sizes=args.sizes,
         trials=args.trials,
         seed=args.seed,
-        exact=args.exact,
     )
-    estimate = monte_carlo_expected(config)
-    data = {
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
-        "trials": estimate.trials,
-        "exact": estimate.exact,
-    }
-    if estimate.exact_value is not None:
-        data["exact_value"] = str(estimate.exact_value)
-    _emit(data)
+    if not args.exact:
+        mean, stderr = monte_carlo_expected(config)
+        _emit({"mean": mean, "stderr": stderr, "trials": config.trials, "exact": False})
+        return 0
+    if config.sizes is None:
+        raise ValueError("exact expectation needs a truthful oracle and sizes")
+    spec = LEARNERS[config.learner]
+    if not spec.randomized:
+        raise ValueError("exact expectation is defined for randomized learners")
+    value = exact_expected_queries(config.sizes, known_k=spec.needs_k)
+    _emit({"mean": float(value), "stderr": 0.0, "trials": 0, "exact": True,
+           "exact_value": str(value)})
     return 0
 
 
@@ -181,8 +184,7 @@ def cmd_audit(args) -> int:
     tables = [args.table] if args.table else [1, 2, 3]
     failures = 0
     for table in tables:
-        report = audit_table(table)
-        for row in report.rows:
+        for row in audit_rows(table):
             mark = "ok" if row.ok else "FAIL"
             print(f"table {table} {mark:4s} {row.cell}: expected {row.expected}, got {row.observed}")
             failures += 0 if row.ok else 1

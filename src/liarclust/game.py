@@ -115,9 +115,6 @@ class GameValueResult:
     value: int
     nodes: int
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "k": self.k, "l": self.l, "value": self.value, "nodes": self.nodes}
-
 
 _TT_EXACT, _TT_LOWER, _TT_UPPER = 0, 1, 2
 

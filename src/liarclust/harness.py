@@ -108,7 +108,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: str = "0"
     robustified: bool = False
-    exact: bool = False
 
     def __post_init__(self) -> None:
         if self.learner not in LEARNERS:
@@ -140,6 +139,8 @@ class ExperimentConfig:
                 "against the adversary the learner's lie tolerance must equal l; "
                 "use a robust learner or --robustify"
             )
+        if not 0.0 <= self.p <= 1.0:
+            raise ValueError(f"lie probability must be in [0, 1], got {self.p}")
 
     @property
     def effective_k(self) -> int | None:
@@ -158,12 +159,7 @@ class ExperimentConfig:
 
 
 def _fixed_partition(sizes) -> Partition:
-    clusters = []
-    start = 0
-    for s in sizes:
-        clusters.append(tuple(range(start, start + s)))
-        start += s
-    return Partition(sum(sizes), tuple(clusters))
+    return Partition.from_labels([c for c, s in enumerate(sizes) for _ in range(s)])
 
 
 @dataclass(frozen=True)
@@ -306,42 +302,13 @@ def exact_expected_queries(sizes, known_k: bool = False) -> Fraction:
     return Fraction(total, count)
 
 
-@dataclass(frozen=True)
-class ExpectationEstimate:
-    mean: float
-    stderr: float
-    trials: int
-    exact: bool
-    exact_value: Fraction | None = None
-
-
-def monte_carlo_expected(config: ExperimentConfig) -> ExpectationEstimate:
-    """Estimate the expected query count, or compute it exactly.
-
-    With config.exact set (truthful oracle, fixed sizes, a randomized
-    learner, and n within the permutation limit) the average over all
-    element orders is exact instead of sampled: exact_expected_queries runs
-    one sweep per distinct cluster-label sequence, n!/prod(s!) sweeps, which
-    gives the same average because the query count depends only on that
-    sequence.
-    """
-    if config.exact:
-        if config.oracle != "truthful" or config.sizes is None:
-            raise ValueError("exact expectation needs a truthful oracle and sizes")
-        spec = LEARNERS[config.learner]
-        if not spec.randomized:
-            raise ValueError("exact expectation is defined for randomized learners")
-        value = exact_expected_queries(config.sizes, known_k=spec.needs_k)
-        return ExpectationEstimate(
-            mean=float(value), stderr=0.0, trials=0, exact=True, exact_value=value
-        )
-    result = simulate(config)
-    samples = [r.queries for r in result.rows]
-    mean = statistics.fmean(samples)
+def monte_carlo_expected(config: ExperimentConfig) -> tuple[float, float]:
+    """Sampled mean query count over config.trials runs, and its standard error."""
+    samples = [r.queries for r in simulate(config).rows]
     stderr = 0.0
     if len(samples) > 1:
         stderr = statistics.stdev(samples) / len(samples) ** 0.5
-    return ExpectationEstimate(mean=mean, stderr=stderr, trials=len(samples), exact=False)
+    return statistics.fmean(samples), stderr
 
 
 # ---------------------------------------------------------------------------
@@ -356,17 +323,7 @@ class AuditRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    table: int
-    rows: tuple[AuditRow, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-
-def _audit_rows(table: int) -> Iterator[AuditRow]:
+def audit_rows(table: int) -> Iterator[AuditRow]:
     """One summary table's rows, computed lazily, one cell at a time.
 
     Table 1: every nonadaptive plan's size, its decodability, and that of
@@ -422,8 +379,3 @@ def _audit_rows(table: int) -> Iterator[AuditRow]:
                                    str(got.queries), ok)
     else:
         raise ValueError(f"no table {table}; tables are 1, 2, 3")
-
-
-def audit_table(table: int) -> AuditReport:
-    """Recheck one of the three summary tables against live runs; see _audit_rows."""
-    return AuditReport(table=table, rows=tuple(_audit_rows(table)))

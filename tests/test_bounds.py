@@ -4,21 +4,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import isclose, log2
+from math import log2
 
 import pytest
 
 from liarclust.bounds import (
     adaptive_lower_bound,
     adaptive_lower_bound_ceil,
-    binary_entropy,
     build_bounds_report,
     expected_queries,
     expected_queries_robust_worst_case,
     expected_queries_worst_case,
     hamming_ball_volume,
-    info_lower_bound_known,
-    info_lower_bound_unknown,
     upper_bound_known,
     upper_bound_unknown,
     volume_bound,
@@ -126,28 +123,6 @@ def test_robust_expectation_scale():
     assert expected_queries_robust_worst_case(6, 3, 2) == 29
 
 
-def test_binary_entropy_values():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert binary_entropy(0.5) == 1.0
-    assert isclose(binary_entropy(0.25), 0.8112781244591328, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
-
-
-def test_info_floors():
-    assert isclose(info_lower_bound_known(6, 3), log2(90), rel_tol=1e-12)
-    assert isclose(info_lower_bound_unknown(4), log2(15), rel_tol=1e-12)
-    # A noisy channel shrinks capacity and raises the floor.
-    assert info_lower_bound_known(6, 3, 0.25) > info_lower_bound_known(6, 3)
-    with pytest.raises(ValueError):
-        info_lower_bound_known(6, 3, 0.5)
-    with pytest.raises(ValueError):
-        info_lower_bound_unknown(4, -0.1)
-    with pytest.raises(ValueError):
-        info_lower_bound_known(3, 5)
-
-
 def test_hamming_volumes():
     assert hamming_ball_volume(1, 3) == 4
     assert hamming_ball_volume(2, 4) == 11
@@ -168,10 +143,9 @@ def test_liar_counting():
 
 
 def test_bounds_report_roundtrip():
-    report = build_bounds_report(6, 3, 2)
-    data = report.to_json_dict()
+    data = build_bounds_report(6, 3, 2)
     assert data["adaptive_lower"] == "31/2"
     assert data["adaptive_lower_ceil"] == 16
     assert data["adaptive_upper_known"] == 29
     assert data["counting_floor"] == volume_bound((90,), 2)
-    assert isclose(data["entropy_floor_known"], log2(90), rel_tol=1e-12)
+    assert data["entropy_floor_known"] == log2(90)  # S(6, 3) = 90 candidates

@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import liarclust
+from liarclust.bounds import expected_queries
 from liarclust.cli import main
+from liarclust.harness import exact_expected_queries
+from liarclust.oracles import RandomLiarOracle
+from liarclust.partitions import Partition
 
 
 def run_cli(capsys, *argv):
@@ -92,10 +99,12 @@ def test_simulate_csv_to_file(tmp_path, capsys):
 def test_bounds_json(capsys):
     code, out, _ = run_cli(capsys, "bounds", "-n", "6", "-k", "3", "-l", "2")
     assert code == 0
-    data = json.loads(out)
-    assert data["adaptive_lower"] == "31/2"
-    assert data["adaptive_lower_ceil"] == 16
-    assert data["adaptive_upper_known"] == 29
+    assert out == (
+        '{"adaptive_lower": "31/2", "adaptive_lower_ceil": 16, "adaptive_upper_known": 29, '
+        '"adaptive_upper_unknown": 38, "counting_floor": 14, '
+        '"entropy_floor_known": 6.491853096329675, "expected_robust_worst_case": "29", '
+        '"expected_worst_case": "9", "k": 3, "l": 2, "n": 6}\n'
+    )
     # n = 500 is valid input, past the interpreter's recursion limit.
     code, out, _ = run_cli(capsys, "bounds", "-n", "500", "-k", "2")
     assert code == 0
@@ -279,10 +288,39 @@ def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):
 def test_expected_exact(capsys):
     code, out, _ = run_cli(capsys, "expected", "--sizes", "3,2", "--exact")
     assert code == 0
-    data = json.loads(out)
-    assert data["exact"] is True
     # (n - k) + two ordered cross terms 3*2/5: 3 + 12/5.
-    assert data["exact_value"] == "27/5"
+    assert json.loads(out) == {"exact": True, "exact_value": "27/5", "mean": 5.4,
+                               "stderr": 0.0, "trials": 0}
+    assert expected_queries((3, 2)) == Fraction(27, 5)
+    # A promised k goes to the sweep; an agreeing -n is accepted.
+    for argv, sizes, known_k in [
+        (["--learner", "randomized_k", "--sizes", "3,2,2"], (3, 2, 2), True),
+        (["--sizes", "4,1", "-n", "5"], (4, 1), False),
+    ]:
+        code, out, _ = run_cli(capsys, "expected", "--exact", *argv)
+        assert code == 0, argv
+        value = exact_expected_queries(sizes, known_k)
+        assert json.loads(out)["exact_value"] == str(value), argv
+
+
+def test_expected_exact_rejects_bad_setups(capsys):
+    for argv, message in [
+        (["--learner", "insertion", "--sizes", "3,2"],
+         "exact expectation is defined for randomized learners"),
+        (["-n", "5", "-k", "2"], "exact expectation needs a truthful oracle and sizes"),
+    ]:
+        code, out, err = run_cli(capsys, "expected", "--exact", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
+def test_expected_checks_n_against_the_sizes(capsys):
+    code, out, err = run_cli(capsys, "expected", "--sizes", "3,2", "-n", "9", "--trials", "5")
+    assert (code, out, err) == (2, "", "error: sizes (3, 2) do not sum to n=9\n")
+    argv = ["expected", "--sizes", "3,2", "--trials", "20", "--seed", "s"]
+    code, out, _ = run_cli(capsys, *argv, "-n", "5")
+    assert code == 0
+    assert json.loads(out)["trials"] == 20
+    assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_expected_sampled(capsys):
@@ -327,6 +365,17 @@ def test_usage_errors_exit_two(capsys):
     assert info.value.code == 2
 
 
+def test_out_of_range_lie_probability_exits_two(capsys):
+    # Checked for every oracle, not only when the liar is built.
+    for oracle in ("truthful", "liar"):
+        argv = ["simulate", "--learner", "insertion", "--oracle", oracle,
+                "-n", "4", "-k", "2", "-p", "7", "--trials", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: lie probability must be in [0, 1], got 7.0\n")
+    with pytest.raises(ValueError, match=r"^lie probability must be in \[0, 1\], got 7$"):
+        RandomLiarOracle(Partition(2, ((0, 1),)), 1, 7, "s")
+
+
 def test_malformed_files_exit_two(capsys, tmp_path):
     pairs = [[0, 1, 1], [0, 2, 1], [0, 3, 1]]
     bad_plans = [
@@ -358,3 +407,48 @@ def test_malformed_files_exit_two(capsys, tmp_path):
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, re.M | re.S)
+
+
+def test_readme_examples_replay_line_for_line(capsys, monkeypatch, tmp_path):
+    """Each `$ liarclust ...` line of the README's sh blocks prints the lines under it.
+
+    `> file` writes stdout to a file a later line reads, `| tail -1` keeps the
+    last line, and a last line ending in `...}` is a prefix of the output's.
+    Lines are compared whole, since CSV rows end in the "\\r\\n" the README
+    cannot show.
+    """
+    monkeypatch.chdir(tmp_path)
+    replayed = 0
+    for block in _readme_blocks("sh"):
+        lines = block.splitlines()
+        for i, line in enumerate(lines):
+            if not line.startswith("$ liarclust "):
+                continue
+            end = next((j for j in range(i + 1, len(lines)) if lines[j].startswith("$ ")), len(lines))
+            want = lines[i + 1 : end]
+            command, _, target = line[2:].partition(" > ")
+            command, _, pipe = command.partition(" | ")
+            code = main(shlex.split(command)[1:])
+            out = capsys.readouterr().out
+            assert code == 0 and out.endswith("\n"), line
+            got = out.splitlines()
+            if target:
+                Path(target).write_text(out, encoding="utf-8")
+                got = []
+            if pipe:
+                assert pipe == "tail -1", line
+                got = got[-1:]
+            if want and want[-1].endswith("...}"):
+                assert got[:-1] == want[:-1] and len(got) == len(want), line
+                assert got[-1].startswith(want[-1][: -len("...}")]), line
+            else:
+                assert got == want, line
+            replayed += 1
+    assert replayed == 7
+    (library,) = _readme_blocks("python")
+    exec(compile(library, "README.md", "exec"), {})
