@@ -213,6 +213,20 @@ def test_exact_expected_queries_matches_all_orders():
             )
 
 
+def test_exact_expectation_through_config():
+    # The exact value for a config's sizes and its learner's k promise, as
+    # `expected --exact` computes it, agrees with that config's sampled mean.
+    for learner, sizes, known in [("randomized", (3, 2), False), ("randomized_k", (3, 2, 2), True)]:
+        config = ExperimentConfig(learner=learner, n=sum(sizes), sizes=sizes, trials=400)
+        spec = LEARNERS[config.learner]
+        assert spec.randomized and spec.needs_k == known
+        value = exact_expected_queries(config.sizes, known_k=spec.needs_k)
+        if not known:
+            assert value == expected_queries(sizes)
+        mean, stderr = monte_carlo_expected(config)
+        assert abs(mean - float(value)) <= 4 * stderr + 1e-9, (learner, mean, value)
+
+
 def test_sampled_expectation_is_close_on_small_case():
     config = ExperimentConfig(
         learner="randomized", n=5, sizes=(3, 2), trials=4000, seed="mc"
