@@ -56,6 +56,14 @@ def upper_bound_unknown(n: int, k: int, l: int) -> int:
     return (l + 1) * (n * k - comb(k + 1, 2)) + l
 
 
+def _cluster_sizes(sizes) -> tuple[int, ...]:
+    """sizes as a tuple; ValueError unless it is nonempty and every size is an int >= 1."""
+    sizes = tuple(sizes)
+    if not sizes or any(type(s) is not int or s < 1 for s in sizes):
+        raise ValueError(f"cluster sizes must be positive integers, got {sizes}")
+    return sizes
+
+
 def expected_queries(sizes) -> Fraction:
     """Expected queries of insertion over a uniform element order.
 
@@ -65,9 +73,7 @@ def expected_queries(sizes) -> Fraction:
     exactly when some element of a's cluster precedes everything in b's,
     giving n_a * n_b / (n_a + n_b) expected negatives for the ordered pair.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"cluster sizes must be positive, got {sizes}")
+    sizes = _cluster_sizes(sizes)
     n = sum(sizes)
     k = len(sizes)
     total = Fraction(n - k)

@@ -16,6 +16,7 @@ from math import comb
 from typing import Iterator
 
 from .bounds import (
+    _cluster_sizes,
     adaptive_lower_bound_ceil,
     upper_bound_known,
     upper_bound_unknown,
@@ -245,51 +246,58 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
 
 
 def _label_sequence_orders(sizes):
-    """Yield one element order per distinct sequence of cluster labels.
+    """Yield one element order per set partition of the positions into clusters of these sizes.
 
-    Sequences come in lexicographic order (the multiset next-permutation
-    step), one at a time; the j-th occurrence of label c in a sequence
-    becomes the j-th element of cluster c in _fixed_partition(sizes).
+    An order's label sequence names the cluster at each position; the j-th
+    occurrence of label c becomes the j-th element of cluster c in
+    _fixed_partition(sizes).  Swapping the labels of two equal-size
+    clusters maps a sequence to another one, never to itself, so only the
+    sequences in which equal-size clusters first appear in label order are
+    built, one position at a time: a label may open only after the previous
+    label of its size has opened.  Each of them stands for one set
+    partition of the positions, and there are n!/(prod(s!)*prod(m!)) of
+    them, where m is the number of clusters of each size.
     """
-    labels = [c for c, s in enumerate(sizes) for _ in range(s)]
-    starts = [0]
-    for s in sizes[:-1]:
-        starts.append(starts[-1] + s)
-    last = len(labels) - 1
-    while True:
-        nxt = list(starts)
-        order = []
-        for c in labels:
-            order.append(nxt[c])
-            nxt[c] += 1
-        yield order
-        i = last - 1
-        while i >= 0 and labels[i] >= labels[i + 1]:
-            i -= 1
-        if i < 0:
+    n, k = sum(sizes), len(sizes)
+    starts = [sum(sizes[:c]) for c in range(k)]
+    ends = [a + s for a, s in zip(starts, sizes)]
+    # The nearest lower label of c's size, which opens first; c itself if none.
+    below = [max((d for d in range(c) if sizes[d] == sizes[c]), default=c) for c in range(k)]
+    nxt = list(starts)
+    order = []
+
+    def extend():
+        if len(order) == n:
+            yield list(order)
             return
-        j = last
-        while labels[j] <= labels[i]:
-            j -= 1
-        labels[i], labels[j] = labels[j], labels[i]
-        labels[i + 1 :] = reversed(labels[i + 1 :])
+        for c in range(k):
+            d = below[c]
+            if nxt[c] < ends[c] and (d == c or nxt[d] > starts[d]):
+                order.append(nxt[c])
+                nxt[c] += 1
+                yield from extend()
+                nxt[c] -= 1
+                order.pop()
+
+    return extend()
 
 
 def exact_expected_queries(sizes, known_k: bool = False) -> Fraction:
     """Average insertion queries over all element orders, as an exact fraction.
 
-    The hidden clustering has the given sizes; the source is truthful.  The
-    real insertion sweep runs on one order per distinct sequence of cluster
-    labels, n!/prod(s!) sweeps instead of n!.  This is the same average:
-    truthful answers depend only on membership, each cluster's
+    The hidden clustering has the given sizes; the source is truthful.
+    Truthful answers depend only on membership, each cluster's
     representative is its first element, and the known-k shortcut depends
-    only on how many clusters are open, so the query count depends only on
-    the label sequence, and each sequence stands for prod(s!) orders.  The
-    permutation-size limit applies to n.
+    only on how many clusters are open, so a sweep's query count depends
+    only on the order in which clusters open: the label sequence renamed by
+    first use.  A label sequence stands for prod(s!) orders, and a swap of
+    two equal-size labels keeps the renamed sequence's count, so each
+    order that _label_sequence_orders keeps stands for prod(s!)*prod(m!)
+    orders and the plain mean over their real sweeps is the mean over all
+    n!: n!/(prod(s!)*prod(m!)) sweeps instead of n!.  The permutation-size
+    limit applies to n.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ValueError(f"cluster sizes must be positive, got {sizes}")
+    sizes = _cluster_sizes(sizes)
     n = sum(sizes)
     check_permutation_n(n)
     oracle = TruthfulOracle(_fixed_partition(sizes))

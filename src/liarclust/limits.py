@@ -4,10 +4,10 @@ Every exhaustive routine in this package (partition enumeration, exact
 expectations over element orders, the minimax solver's relabel tables) is
 meant for instances small enough to check by complete enumeration.  The
 permutation cap bounds n, the number of elements, for every enumeration of
-up to n! items: one insertion sweep per distinct cluster-label sequence, or
-one relabel table per permutation of the elements.  The caps below stop an
-accidental n=40 from hanging a terminal; they can be raised per process
-through environment variables when a bigger desk is genuinely wanted.
+up to n! items: one insertion sweep per set partition of the positions into
+clusters, or one relabel table per permutation of the elements.  The caps
+below stop an accidental n=40 from hanging a terminal; they can be raised
+per process through environment variables when a bigger desk is wanted.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def check_enumeration_n(n: int) -> None:
 def check_permutation_n(n: int) -> None:
     """Refuse an enumeration of up to n! items above the cap.
 
-    It bounds exact expectations, which run over every distinct
-    cluster-label sequence of the n elements (at most n!), and the minimax
+    It bounds exact expectations, which run one insertion sweep per set
+    partition of the n positions into clusters (at most n!), and the minimax
     solver, which builds one relabel table per permutation of the elements.
     """
     cap = _read_limit(PERM_LIMIT_ENV, DEFAULT_MAX_PERM_N)

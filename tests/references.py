@@ -11,15 +11,21 @@ relabel_tables applies every permutation of the elements to every
 k-partition, where the solver closes the adjacent swaps under composition;
 canonical_key applies the solver's key rule to every one of those tables.
 AUDIT_GRIDS spells out the cells that each harness audit table must name.
+label_sequence_mean runs the insertion sweep on one order per distinct
+sequence of cluster labels, where the harness keeps one per set partition
+of the positions.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import cache
 from typing import Iterator
 
+from liarclust.learners.adaptive import _insertion_sweep
 from liarclust.learners.plans import _surjective_class_partitions
+from liarclust.oracles import TruthfulOracle
 from liarclust.partitions import Partition
 
 Pair = tuple[int, int]
@@ -94,6 +100,49 @@ def canonical_key(n: int, k: int, costs: bytes) -> bytes:
             classes.append((len(picked), cost, j, picked))
     picked = min(classes, key=lambda c: c[:3])[3]
     return min(bytes(costs[i] for i in t) for t in picked)
+
+
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of positive integers that sums to n."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first, *rest)
+
+
+def label_sequence_mean(sizes: tuple[int, ...], known_k: bool) -> Fraction:
+    """Mean sweep queries over every distinct sequence of cluster labels.
+
+    The sequences come from the multiset next-permutation step; the j-th
+    occurrence of label c becomes the j-th element of cluster c, whose
+    elements are numbered consecutively in label order.
+    """
+    labels = [c for c, s in enumerate(sizes) for _ in range(s)]
+    n = len(labels)
+    oracle = TruthfulOracle(Partition.from_labels(labels))
+    k = len(sizes) if known_k else None
+    starts = [labels.index(c) for c in range(len(sizes))]
+    total = count = 0
+    while True:
+        nxt = list(starts)
+        order = []
+        for c in labels:
+            order.append(nxt[c])
+            nxt[c] += 1
+        total += _insertion_sweep(n, oracle, order, k).queries
+        count += 1
+        i = n - 2
+        while i >= 0 and labels[i] >= labels[i + 1]:
+            i -= 1
+        if i < 0:
+            return Fraction(total, count)
+        j = n - 1
+        while labels[j] <= labels[i]:
+            j -= 1
+        labels[i], labels[j] = labels[j], labels[i]
+        labels[i + 1 :] = reversed(labels[i + 1 :])
 
 
 # Audit table -> its cells in row order: (n, k) with None for unknown k, or (n, k, l).

@@ -54,7 +54,7 @@ from liarclust.partitions import (
     random_k_partition,
     stirling2,
 )
-from references import AUDIT_GRIDS, adjacency, audit_cell
+from references import AUDIT_GRIDS, adjacency, audit_cell, compositions
 
 
 def _report(num: int, label: str, failures: list[str], covered: str) -> None:
@@ -232,24 +232,15 @@ def test_06_robust_learners_survive_random_lies():
             f"{runs} runs over n <= 8, k <= 4, l <= 3, all correct and capped, {elapsed:.0f}s")
 
 
-def _compositions(n: int):
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-
-
 def test_07_randomized_insertion_expectation():
     t0 = time.perf_counter()
     failures: list[str] = []
-    compositions = 0
+    cells = 0
     for n in range(1, 9):
-        for sizes in _compositions(n):
+        for sizes in compositions(n):
             want = expected_queries(sizes)
             got = exact_expected_queries(sizes)
-            compositions += 1
+            cells += 1
             if got != want:
                 failures.append(f"sizes {sizes}: enumerated {got}, formula {want}")
             k = len(sizes)
@@ -285,7 +276,7 @@ def test_07_randomized_insertion_expectation():
     if elapsed >= 120.0:
         failures.append(f"took {elapsed:.1f}s, cap is 2min")
     _report(7, "randomized insertion expectation", failures,
-            f"{compositions} compositions exact, n=12 sampling within 3 stderr, {elapsed:.0f}s")
+            f"{cells} compositions exact, n=12 sampling within 3 stderr, {elapsed:.0f}s")
 
 
 def _repetition_overhead(failures: list[str], transcript, l: int, where: str) -> None:

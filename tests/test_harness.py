@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 import pytest
 
@@ -12,6 +14,7 @@ from liarclust.harness import (
     LEARNERS,
     ExperimentConfig,
     QueryBudgetExceededError,
+    _label_sequence_orders,
     audit_rows,
     exact_expected_queries,
     monte_carlo_expected,
@@ -29,7 +32,7 @@ from liarclust.learners.adaptive import (
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
-from references import AUDIT_GRIDS, audit_cell
+from references import AUDIT_GRIDS, audit_cell, compositions, label_sequence_mean
 
 
 def test_simulation_is_deterministic():
@@ -211,6 +214,44 @@ def test_exact_expected_queries_matches_all_orders():
                 sizes,
                 known_k,
             )
+
+
+def test_exact_expected_queries_matches_every_label_sequence():
+    grid = [sizes for n in range(1, 7) for sizes in compositions(n)]
+    for sizes in grid + [(1, 1, 1, 1, 1, 2), (2, 2, 1, 1, 1), (1, 3, 1, 1, 1)]:
+        for known_k in (False, True):
+            assert exact_expected_queries(sizes, known_k) == label_sequence_mean(sizes, known_k), (
+                sizes,
+                known_k,
+            )
+
+
+def test_label_sequence_orders_yield_one_order_per_set_partition():
+    for n in range(1, 8):
+        for sizes in compositions(n):
+            owner = [c for c, s in enumerate(sizes) for _ in range(s)]
+            orders = list(_label_sequence_orders(sizes))
+            want = factorial(n) // prod(factorial(x) for x in (*sizes, *Counter(sizes).values()))
+            assert len(orders) == want, sizes
+            renamed = set()
+            for order in orders:
+                assert sorted(order) == list(range(n)), (sizes, order)
+                seq = [owner[e] for e in order]
+                firsts = {}
+                for c in seq:
+                    firsts.setdefault(c, len(firsts))
+                renamed.add(tuple(firsts[c] for c in seq))
+                for size in set(sizes):
+                    opened = [c for c in firsts if sizes[c] == size]
+                    assert opened == sorted(opened), (sizes, order)
+            assert len(renamed) == len(orders), sizes
+
+
+def test_expected_queries_reject_sizes_that_are_not_positive_integers():
+    for sizes in [(2.7, 1), (2.9, 1.5), ("3", "2"), (True, 1), (2, False), (2.0, 1), (0, 1), ()]:
+        for expectation in (exact_expected_queries, expected_queries):
+            with pytest.raises(ValueError, match=r"^cluster sizes must be positive integers, got "):
+                expectation(sizes)
 
 
 def test_exact_expectation_through_config():
