@@ -8,8 +8,9 @@ the answers determine the partition even against l lies, so the number of
 queries played is exactly the cost of learning it.  exact_game_value finds
 that number under optimal play on both sides, by memoized alpha-beta
 search over capped cost vectors, cut and ordered by the Renyi-Ulam volume
-bound.  One concrete responder, the adversary that the simulations play
-against, is AdversarialOracle in liarclust.oracles.
+bound; at k = n - 1 the value has a closed form and needs no search.  One
+concrete responder, the adversary that the simulations play against, is
+AdversarialOracle in liarclust.oracles.
 
 The search caps every recorded cost at l+1: a partition past the lie budget
 is out of the game no matter how much further weight it collects.  A
@@ -35,6 +36,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cache
+from math import comb
 from operator import itemgetter
 
 from .bounds import hamming_ball_volume, volume_bound
@@ -294,6 +296,18 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     higher-bound child first, then the child with more live candidates.
     nodes counts the positions expanded.
 
+    At k = n - 1 the value is (l + 1) C(n, 2) - 1 = upper_bound_known, with
+    no search: a candidate is named by its one joined pair, so asking pair p
+    is Ulam's singleton question "is it p?".  A join answer costs every
+    candidate but p, a split answer costs only p.  Give a candidate within
+    budget l + 1 - cost lives, and let S be the sum of the lives, C(n, 2)(l + 1)
+    at the start.  Upper bound: while two or more candidates are live, ask
+    about a live one; either answer lowers S by at least 1, and a live
+    candidate keeps S >= 1, so the game ends within S - 1 queries.  Lower
+    bound: answer split, except join when exactly two candidates are live
+    and the one asked about has one life left; every query then lowers S by
+    at most 1, and the game ends only when S = 1.
+
     Raises SearchBudgetExceededError when the memoized search would expand
     more than node_budget positions or recurse past the interpreter's
     recursion limit.  Raises, before any table is built, ExhaustionLimitError
@@ -309,6 +323,8 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     if k in (1, n):
         # A single candidate is already uniquely determined.
         return GameValueResult(n, k, l, 0, 0)
+    if k == n - 1:
+        return GameValueResult(n, k, l, (l + 1) * comb(n, 2) - 1, 0)
     if l > MAX_SOLVER_LIES:
         # Any two candidates must be told apart by 2l+1 answers, so the
         # search is at least that many queries deep.

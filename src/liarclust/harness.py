@@ -122,7 +122,7 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if self.sizes is not None:
-            if any(s < 1 for s in self.sizes) or sum(self.sizes) != self.n:
+            if sum(_cluster_sizes(self.sizes)) != self.n:
                 raise ValueError(f"sizes {self.sizes} do not sum to n={self.n}")
             if self.k is not None and self.k != len(self.sizes):
                 raise ValueError("k disagrees with the number of sizes")

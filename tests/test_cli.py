@@ -250,20 +250,20 @@ def test_game_value_negative_budget_exits_two(capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "node budget" in err
     # A zero budget is valid input: the search gives up at its first node.
-    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "--budget", "0")
+    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "--budget", "0")
     assert code == 3
     assert err.startswith("search gave up:")
 
 
 def test_game_value_too_deep_gives_up_on_one_line(capsys):
     # l + 1 = 301 does not fit the solver's byte costs: unsupported input.
-    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", "300")
+    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "-l", "300")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "l <= 254" in err
     # l = 250 recurses past the interpreter's limit: the search gives up.
-    code, out, err = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", "250")
+    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "-l", "250")
     assert code == 3
     assert out == ""
     assert err.startswith("search gave up:") and err.count("\n") == 1, err
@@ -272,6 +272,10 @@ def test_game_value_too_deep_gives_up_on_one_line(capsys):
     code, out, _ = run_cli(capsys, "game-value", "-n", "3", "-k", "3", "-l", "300")
     assert code == 0
     assert json.loads(out)["value"] == 0
+    # Nor does a cell with one joined pair per candidate: (l + 1) C(3, 2) - 1.
+    code, out, _ = run_cli(capsys, "game-value", "-n", "3", "-k", "2", "-l", "300")
+    assert code == 0
+    assert json.loads(out) == {"k": 2, "l": 300, "n": 3, "nodes": 0, "value": 902}
 
 
 def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):
@@ -449,6 +453,6 @@ def test_readme_examples_replay_line_for_line(capsys, monkeypatch, tmp_path):
             else:
                 assert got == want, line
             replayed += 1
-    assert replayed == 7
+    assert replayed == 8
     (library,) = _readme_blocks("python")
     exec(compile(library, "README.md", "exec"), {})

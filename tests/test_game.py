@@ -379,6 +379,8 @@ def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatc
     monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
     with pytest.raises(ExhaustionLimitError):
         exact_game_value(4, 2, 0)
+    # So do cells with one joined pair per candidate: their value is closed form.
+    assert exact_game_value(12, 11, 1) == GameValueResult(12, 11, 1, 131, 0)
 
 
 def test_exact_game_value_pins_values_and_node_counts():
@@ -421,9 +423,53 @@ def test_exact_game_value_pins_values_and_node_counts():
         (5, 4, 1): 1914,
     }
     for (n, k, l), (value, nodes) in pinned.items():
-        got = exact_game_value(n, k, l)
+        if k == n - 1:
+            # exact_game_value answers in closed form here; the search is
+            # still pinned, as the reference for that form.
+            solver = _MinimaxSolver(n, k, l, node_budget=10_000_000)
+            got = GameValueResult(n, k, l, solver.solve(), solver.nodes)
+            assert exact_game_value(n, k, l) == GameValueResult(n, k, l, value, 0)
+        else:
+            got = exact_game_value(n, k, l)
         assert (got.value, got.nodes) == (value, nodes), (n, k, l, got)
         assert nodes <= without_volume_bound[(n, k, l)], (n, k, l)
+
+
+def test_closed_form_at_one_joined_pair_matches_the_search():
+    # At k = n - 1 the value is (l + 1) C(n, 2) - 1, repetition's worst case.
+    for n, top in [(3, 5), (4, 4), (5, 2)]:
+        for l in range(top + 1):
+            value = _MinimaxSolver(n, n - 1, l, node_budget=10_000_000).solve()
+            assert value == (l + 1) * math.comb(n, 2) - 1 == upper_bound_known(n, n - 1, l)
+            assert exact_game_value(n, n - 1, l) == GameValueResult(n, n - 1, l, value, 0)
+
+
+def test_one_joined_pair_positions_are_worth_their_lives_minus_one():
+    # The closed form's lemma, against the plain reference: with k = n - 1,
+    # a position with two or more live candidates is worth the sum of their
+    # lives, l + 1 - cost each, minus one.  Positions come from seeded random
+    # answer paths.
+    rng = random.Random(2323)
+    checked = 0
+    for n, l in [(3, 0), (3, 1), (3, 2), (3, 3), (4, 0), (4, 1)]:
+        candidates = list(k_partitions(n, n - 1))
+        pairs = list(itertools.combinations(range(n), 2))
+        seen = set()
+        for _ in range(3):
+            inst = SignedAnswers(n)
+            costs = [0] * len(candidates)
+            while sum(c <= l for c in costs) >= 2:
+                if tuple(costs) not in seen:
+                    seen.add(tuple(costs))
+                    lives = sum(l + 1 - c for c in costs if c <= l)
+                    assert _reference_value(n, n - 1, l, inst) == lives - 1, (n, l, costs)
+                u, v = rng.choice(pairs)
+                nxt = inst.record_response(u, v, rng.choice((1, -1)))
+                if any(nxt.cost(p) <= l for p in candidates):
+                    inst = nxt
+                    costs = [inst.cost(p) for p in candidates]
+        checked += len(seen)
+    assert checked >= 40, checked
 
 
 def test_exact_game_values_past_five_elements():
@@ -483,13 +529,13 @@ def test_solver_key_follows_the_smallest_class_rule():
 
 def test_too_deep_searches_give_up_with_the_budget_error(monkeypatch):
     with pytest.raises(SearchBudgetExceededError, match="recursion limit"):
-        exact_game_value(3, 2, 250)
+        exact_game_value(4, 2, 250)
 
     _forbid_relabel_tables(monkeypatch)
     # Costs up to l + 1 = 256 do not fit the solver's bytes: bad input, not
     # a search that gave up.
     with pytest.raises(ValueError, match="at least 511 queries deep"):
-        exact_game_value(3, 2, 255)
+        exact_game_value(4, 2, 255)
 
 
 def test_search_budget_is_enforced():

@@ -254,6 +254,16 @@ def test_expected_queries_reject_sizes_that_are_not_positive_integers():
                 expectation(sizes)
 
 
+def test_config_rejects_sizes_that_are_not_positive_integers():
+    # Rejected when the config is built, with bounds' message, not later in
+    # simulate with a TypeError, and a bool is not taken for an int.
+    for sizes, n in [((2.5, 2.5), 5), (("2", "3"), 5), ((True, 2), 3), ((2, 2.0), 4), ((0, 3), 3)]:
+        with pytest.raises(ValueError, match=r"^cluster sizes must be positive integers, got "):
+            ExperimentConfig(learner="randomized", n=n, sizes=sizes)
+    with pytest.raises(ValueError, match=r"^sizes \(3, 2\) do not sum to n=9$"):
+        ExperimentConfig(learner="randomized", n=9, sizes=(3, 2))
+
+
 def test_exact_expectation_through_config():
     # The exact value for a config's sizes and its learner's k promise, as
     # `expected --exact` computes it, agrees with that config's sampled mean.
