@@ -64,14 +64,20 @@ def _cluster_sizes(sizes) -> tuple[int, ...]:
     return sizes
 
 
-def expected_queries(sizes) -> Fraction:
+def expected_queries(sizes, known_k: bool = False) -> Fraction:
     """Expected queries of insertion over a uniform element order.
 
-    sizes are the hidden cluster sizes; the source is truthful and the
-    cluster count unknown.  Every element beyond a cluster's first costs
-    one positive query (n - k total); a negative query (a, b) happens
-    exactly when some element of a's cluster precedes everything in b's,
-    giving n_a * n_b / (n_a + n_b) expected negatives for the ordered pair.
+    sizes are the hidden cluster sizes; the source is truthful.  Every
+    element beyond a cluster's first costs one positive query (n - k
+    total); a negative query (a, b) happens exactly when some element of
+    a's cluster precedes everything in b's, giving n_a * n_b / (n_a + n_b)
+    expected negatives for the ordered pair.  A known k changes one thing:
+    each element of the cluster that opens last, apart from its first, skips
+    the comparison with it, so every order costs s_last - 1 fewer queries.
+    With independent uniform arrival times and x = 1 - t, cluster c opens
+    last with probability the integral over [0, 1] of
+    s_c x**(s_c - 1) prod_{d != c} (1 - x**s_d) dx, which is
+    sum_j a_j s_c / (s_c + j) for the integer coefficients a_j of the product.
     """
     sizes = _cluster_sizes(sizes)
     n = sum(sizes)
@@ -81,6 +87,14 @@ def expected_queries(sizes) -> Fraction:
         for j, b in enumerate(sizes):
             if i != j:
                 total += Fraction(a * b, a + b)
+    if known_k:
+        for c, s in enumerate(sizes):
+            coeffs = [1] + [0] * (n - s)  # of prod_{d != c} (1 - x**s_d), by degree
+            for d, t in enumerate(sizes):
+                if d != c:
+                    for j in range(n - s, t - 1, -1):
+                        coeffs[j] -= coeffs[j - t]
+            total -= (s - 1) * sum(Fraction(a * s, s + j) for j, a in enumerate(coeffs) if a)
     return total
 
 

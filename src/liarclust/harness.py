@@ -11,18 +11,17 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import Iterator
 
 from .bounds import (
     _cluster_sizes,
     adaptive_lower_bound_ceil,
+    expected_queries,
     upper_bound_known,
     upper_bound_unknown,
 )
 from .learners.adaptive import (
-    _insertion_sweep,
     insertion_cluster,
     parallel_insertion,
     randomized_insertion,
@@ -30,7 +29,6 @@ from .learners.adaptive import (
     robustify,
 )
 from .learners.plans import build_plan, plan_decodable, robust_plan
-from .limits import check_permutation_n
 from .oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from .partitions import Partition, random_k_partition
 
@@ -245,69 +243,9 @@ def simulate(config: ExperimentConfig) -> SimulationResult:
     return SimulationResult(config=config, rows=tuple(rows))
 
 
-def _label_sequence_orders(sizes):
-    """Yield one element order per set partition of the positions into clusters of these sizes.
-
-    An order's label sequence names the cluster at each position; the j-th
-    occurrence of label c becomes the j-th element of cluster c in
-    _fixed_partition(sizes).  Swapping the labels of two equal-size
-    clusters maps a sequence to another one, never to itself, so only the
-    sequences in which equal-size clusters first appear in label order are
-    built, one position at a time: a label may open only after the previous
-    label of its size has opened.  Each of them stands for one set
-    partition of the positions, and there are n!/(prod(s!)*prod(m!)) of
-    them, where m is the number of clusters of each size.
-    """
-    n, k = sum(sizes), len(sizes)
-    starts = [sum(sizes[:c]) for c in range(k)]
-    ends = [a + s for a, s in zip(starts, sizes)]
-    # The nearest lower label of c's size, which opens first; c itself if none.
-    below = [max((d for d in range(c) if sizes[d] == sizes[c]), default=c) for c in range(k)]
-    nxt = list(starts)
-    order = []
-
-    def extend():
-        if len(order) == n:
-            yield list(order)
-            return
-        for c in range(k):
-            d = below[c]
-            if nxt[c] < ends[c] and (d == c or nxt[d] > starts[d]):
-                order.append(nxt[c])
-                nxt[c] += 1
-                yield from extend()
-                nxt[c] -= 1
-                order.pop()
-
-    return extend()
-
-
-def exact_expected_queries(sizes, known_k: bool = False) -> Fraction:
-    """Average insertion queries over all element orders, as an exact fraction.
-
-    The hidden clustering has the given sizes; the source is truthful.
-    Truthful answers depend only on membership, each cluster's
-    representative is its first element, and the known-k shortcut depends
-    only on how many clusters are open, so a sweep's query count depends
-    only on the order in which clusters open: the label sequence renamed by
-    first use.  A label sequence stands for prod(s!) orders, and a swap of
-    two equal-size labels keeps the renamed sequence's count, so each
-    order that _label_sequence_orders keeps stands for prod(s!)*prod(m!)
-    orders and the plain mean over their real sweeps is the mean over all
-    n!: n!/(prod(s!)*prod(m!)) sweeps instead of n!.  The permutation-size
-    limit applies to n.
-    """
-    sizes = _cluster_sizes(sizes)
-    n = sum(sizes)
-    check_permutation_n(n)
-    oracle = TruthfulOracle(_fixed_partition(sizes))
-    k = len(sizes) if known_k else None
-    total = 0
-    count = 0
-    for order in _label_sequence_orders(sizes):
-        total += _insertion_sweep(n, oracle, order, k).queries
-        count += 1
-    return Fraction(total, count)
+# The closed form over all element orders, for k known or not, under the name
+# the CLI and the package export.
+exact_expected_queries = expected_queries
 
 
 def monte_carlo_expected(config: ExperimentConfig) -> tuple[float, float]:

@@ -317,17 +317,22 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     disagree on queries of total multiplicity more than 2l, so no l lies
     can make one look like another.
     Each candidate moves the others up levels of disagreement with it, by
-    each query's multiplicity, as the adversary moves its candidates.
+    each query's multiplicity, as the adversary moves its candidates.  Two
+    candidates never disagree on more than plan.total_queries, so from
+    2l >= plan.total_queries on only a lone candidate is decodable, and no
+    table is built.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
     check_enumeration_n(plan.n)
     ks = tuple(range(1, plan.n + 1)) if plan.k_mode is None else (plan.k_mode,)
     count = sum(stirling2(plan.n, k) for k in ks)
+    if 2 * l >= plan.total_queries:
+        return count == 1
     masks = _join_masks(plan.n, ks)
     if l == 0:
         rows = [f"{masks[u, v]:0{count}b}" for u, v, _ in plan.queries]
-        return len(set(zip(*rows))) == count if rows else count == 1
+        return len(set(zip(*rows))) == count
     joins = [(masks[u, v], m) for u, v, m in plan.queries]
     everyone = (1 << count) - 1
     for i in range(count):

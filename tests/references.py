@@ -12,8 +12,9 @@ k-partition, where the solver closes the adjacent swaps under composition;
 canonical_key applies the solver's key rule to every one of those tables.
 AUDIT_GRIDS spells out the cells that each harness audit table must name.
 label_sequence_mean runs the insertion sweep on one order per distinct
-sequence of cluster labels, where the harness keeps one per set partition
-of the positions.
+sequence of cluster labels, and set_partition_mean on one order per set
+partition of the positions, from label_sequence_orders: two real-sweep
+means over all n! orders for the closed-form expectation in bounds.
 """
 
 from __future__ import annotations
@@ -143,6 +144,62 @@ def label_sequence_mean(sizes: tuple[int, ...], known_k: bool) -> Fraction:
             j -= 1
         labels[i], labels[j] = labels[j], labels[i]
         labels[i + 1 :] = reversed(labels[i + 1 :])
+
+
+def label_sequence_orders(sizes: tuple[int, ...]) -> Iterator[list[int]]:
+    """Yield one element order per set partition of the positions into clusters of these sizes.
+
+    An order's label sequence names the cluster at each position; the j-th
+    occurrence of label c becomes the j-th element of cluster c, whose
+    elements are numbered consecutively in label order.  Swapping the
+    labels of two equal-size clusters maps a sequence to another one, never
+    to itself, so only the sequences in which equal-size clusters first
+    appear in label order are built, one position at a time: a label may
+    open only after the previous label of its size has opened.  Each of
+    them stands for one set partition of the positions, and there are
+    n!/(prod(s!)*prod(m!)) of them, where m is the number of clusters of
+    each size.
+    """
+    n, k = sum(sizes), len(sizes)
+    starts = [sum(sizes[:c]) for c in range(k)]
+    ends = [a + s for a, s in zip(starts, sizes)]
+    # The nearest lower label of c's size, which opens first; c itself if none.
+    below = [max((d for d in range(c) if sizes[d] == sizes[c]), default=c) for c in range(k)]
+    nxt = list(starts)
+    order: list[int] = []
+
+    def extend():
+        if len(order) == n:
+            yield list(order)
+            return
+        for c in range(k):
+            d = below[c]
+            if nxt[c] < ends[c] and (d == c or nxt[d] > starts[d]):
+                order.append(nxt[c])
+                nxt[c] += 1
+                yield from extend()
+                nxt[c] -= 1
+                order.pop()
+
+    return extend()
+
+
+def set_partition_mean(sizes: tuple[int, ...], known_k: bool) -> Fraction:
+    """Mean sweep queries over label_sequence_orders(sizes), which is the mean over all n! orders.
+
+    Truthful answers depend only on membership, each cluster's
+    representative is its first element, and the known-k shortcut depends
+    only on how many clusters are open, so a sweep's query count depends
+    only on the order in which clusters open.  A label sequence stands for
+    prod(s!) orders, and a swap of two equal-size labels keeps the count,
+    so each kept order stands for prod(s!)*prod(m!) orders.
+    """
+    labels = [c for c, s in enumerate(sizes) for _ in range(s)]
+    oracle = TruthfulOracle(Partition.from_labels(labels))
+    k = len(sizes) if known_k else None
+    counts = [_insertion_sweep(len(labels), oracle, order, k).queries
+              for order in label_sequence_orders(sizes)]
+    return Fraction(sum(counts), len(counts))
 
 
 # Audit table -> its cells in row order: (n, k) with None for unknown k, or (n, k, l).

@@ -54,7 +54,7 @@ from liarclust.partitions import (
     random_k_partition,
     stirling2,
 )
-from references import AUDIT_GRIDS, adjacency, audit_cell, compositions
+from references import AUDIT_GRIDS, adjacency, audit_cell, compositions, set_partition_mean
 
 
 def _report(num: int, label: str, failures: list[str], covered: str) -> None:
@@ -238,11 +238,13 @@ def test_07_randomized_insertion_expectation():
     cells = 0
     for n in range(1, 9):
         for sizes in compositions(n):
-            want = expected_queries(sizes)
-            got = exact_expected_queries(sizes)
+            for known_k in (False, True):
+                want = set_partition_mean(sizes, known_k)
+                got = exact_expected_queries(sizes, known_k)
+                if got != want:
+                    failures.append(f"sizes {sizes} known_k={known_k}: {got}, sweeps {want}")
             cells += 1
-            if got != want:
-                failures.append(f"sizes {sizes}: enumerated {got}, formula {want}")
+            want = expected_queries(sizes)
             k = len(sizes)
             for l in (1, 2, 3):
                 if (l + 1) * want + l > expected_queries_robust_worst_case(n, k, l):
@@ -276,7 +278,8 @@ def test_07_randomized_insertion_expectation():
     if elapsed >= 120.0:
         failures.append(f"took {elapsed:.1f}s, cap is 2min")
     _report(7, "randomized insertion expectation", failures,
-            f"{cells} compositions exact, n=12 sampling within 3 stderr, {elapsed:.0f}s")
+            f"{cells} compositions exact with k known and unknown, "
+            f"n=12 sampling within 3 stderr, {elapsed:.0f}s")
 
 
 def _repetition_overhead(failures: list[str], transcript, l: int, where: str) -> None:

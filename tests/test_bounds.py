@@ -23,6 +23,7 @@ from liarclust.bounds import (
 from liarclust.learners.adaptive import _insertion_sweep
 from liarclust.oracles import TruthfulOracle
 from liarclust.partitions import Partition
+from references import compositions
 
 
 def _compositions(n, k):
@@ -77,6 +78,11 @@ def test_expected_queries_pinned_values():
     assert expected_queries((1, 1)) == 1
     assert expected_queries((3,)) == 2  # one cluster: n - 1 positive queries
     assert expected_queries((2, 2)) == 4
+    # Told k, one cluster costs nothing and two cost n - 1 in every order.
+    assert expected_queries((3,), known_k=True) == 0
+    assert expected_queries((2, 1), known_k=True) == 2
+    assert expected_queries((5, 4), known_k=True) == 8
+    assert expected_queries((3, 2, 2), known_k=True) == Fraction(67, 7)
     with pytest.raises(ValueError):
         expected_queries(())
     with pytest.raises(ValueError):
@@ -104,6 +110,21 @@ def test_expected_queries_matches_exhaustive_average():
             total += t.queries
             count += 1
         assert Fraction(total, count) == expected_queries(sizes), sizes
+
+
+def test_known_k_saves_the_later_elements_of_the_last_opened_cluster():
+    # The lemma behind expected_queries(sizes, known_k=True), order by order:
+    # told k, each element of the cluster that opens last, apart from its
+    # first, skips one comparison, and nothing else changes.
+    for n in range(1, 7):
+        for sizes in compositions(n):
+            labels = [c for c, s in enumerate(sizes) for _ in range(s)]
+            oracle = TruthfulOracle(Partition.from_labels(labels))
+            for order in permutations(range(n)):
+                last = [*dict.fromkeys(labels[e] for e in order)][-1]
+                unknown = _insertion_sweep(n, oracle, order, None).queries
+                known = _insertion_sweep(n, oracle, order, len(sizes)).queries
+                assert known == unknown - (sizes[last] - 1), (sizes, order)
 
 
 def test_worst_case_expectation_dominates_all_compositions():

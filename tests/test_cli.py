@@ -142,6 +142,13 @@ def test_check_plan_at_the_enumeration_cap(capsys):
         assert json.loads(out)["decodable"] is True, argv
 
 
+def test_check_plan_with_a_huge_lie_tolerance(capsys):
+    # 2l is past the plan's 12 queries: no two candidates can be told apart.
+    code, out, err = run_cli(capsys, "check-plan", "-n", "6", "-k", "3", "-l", str(2**62))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["decodable"] is False
+
+
 def test_decode_round_trip(capsys, tmp_path):
     from liarclust.learners.plans import build_plan, truthful_answers
     from liarclust.partitions import Partition
@@ -307,6 +314,18 @@ def test_expected_exact(capsys):
         assert json.loads(out)["exact_value"] == str(value), argv
 
 
+def test_expected_exact_past_the_permutation_cap(capsys):
+    # n = 9 is above the default cap of 8; the closed form needs no enumeration.
+    code, out, err = run_cli(capsys, "expected", "--exact", "--sizes", "5,4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_value"] == "103/9"
+    # Told k = 2, every order costs n - 1.
+    code, out, err = run_cli(capsys, "expected", "--exact", "--learner", "randomized_k",
+                             "--sizes", "5,4")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_value"] == "8"
+
+
 def test_expected_exact_rejects_bad_setups(capsys):
     for argv, message in [
         (["--learner", "insertion", "--sizes", "3,2"],
@@ -453,6 +472,6 @@ def test_readme_examples_replay_line_for_line(capsys, monkeypatch, tmp_path):
             else:
                 assert got == want, line
             replayed += 1
-    assert replayed == 8
+    assert replayed == 9
     (library,) = _readme_blocks("python")
     exec(compile(library, "README.md", "exec"), {})

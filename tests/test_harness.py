@@ -14,7 +14,6 @@ from liarclust.harness import (
     LEARNERS,
     ExperimentConfig,
     QueryBudgetExceededError,
-    _label_sequence_orders,
     audit_rows,
     exact_expected_queries,
     monte_carlo_expected,
@@ -32,7 +31,14 @@ from liarclust.learners.adaptive import (
 )
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
-from references import AUDIT_GRIDS, audit_cell, compositions, label_sequence_mean
+from references import (
+    AUDIT_GRIDS,
+    audit_cell,
+    compositions,
+    label_sequence_mean,
+    label_sequence_orders,
+    set_partition_mean,
+)
 
 
 def test_simulation_is_deterministic():
@@ -187,9 +193,15 @@ def test_registry_entries_call_their_learner_with_k_or_none():
             assert learner(make()) == want, spec.id
 
 
-def test_exact_expected_queries_matches_formula():
-    for sizes in [(2, 1), (2, 2), (3, 1), (2, 2, 1), (3, 2, 1)]:
-        assert exact_expected_queries(sizes) == expected_queries(sizes), sizes
+def test_exact_expected_queries_matches_set_partition_sweeps():
+    # One closed form serves both names; the reference runs real sweeps.
+    assert exact_expected_queries is expected_queries
+    for sizes in [(2, 1), (2, 2), (3, 1), (2, 2, 1), (3, 2, 1), (3, 3, 2), (1, 4, 1, 2)]:
+        for known_k in (False, True):
+            assert exact_expected_queries(sizes, known_k) == set_partition_mean(sizes, known_k), (
+                sizes,
+                known_k,
+            )
 
 
 def test_exact_expected_queries_matches_all_orders():
@@ -230,7 +242,7 @@ def test_label_sequence_orders_yield_one_order_per_set_partition():
     for n in range(1, 8):
         for sizes in compositions(n):
             owner = [c for c, s in enumerate(sizes) for _ in range(s)]
-            orders = list(_label_sequence_orders(sizes))
+            orders = list(label_sequence_orders(sizes))
             want = factorial(n) // prod(factorial(x) for x in (*sizes, *Counter(sizes).values()))
             assert len(orders) == want, sizes
             renamed = set()
@@ -272,8 +284,7 @@ def test_exact_expectation_through_config():
         spec = LEARNERS[config.learner]
         assert spec.randomized and spec.needs_k == known
         value = exact_expected_queries(config.sizes, known_k=spec.needs_k)
-        if not known:
-            assert value == expected_queries(sizes)
+        assert value == set_partition_mean(sizes, known)
         mean, stderr = monte_carlo_expected(config)
         assert abs(mean - float(value)) <= 4 * stderr + 1e-9, (learner, mean, value)
 

@@ -503,6 +503,21 @@ def test_plan_decodable_edge_cases():
             assert plan_decodable(plan, l), (plan, l)
 
 
+def test_plan_decodable_builds_no_table_once_2l_covers_the_plan(monkeypatch):
+    def unreachable(n, ks):
+        raise AssertionError(f"join masks built for n={n}")
+
+    monkeypatch.setattr(plans, "_join_masks", unreachable)
+    huge = 2**62
+    plan = build_plan(6, 3)
+    for l in (plan.total_queries // 2, huge):
+        assert not plan_decodable(plan, l), l
+    assert not plan_decodable(QueryPlan(6, None, ()), 0)
+    # One candidate needs no query, at any l.
+    assert plan_decodable(QueryPlan(6, 6, ((0, 1, 1),)), huge)
+    assert plan_decodable(QueryPlan(6, 1, ()), huge)
+
+
 def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
     plan = build_plan(6, 2)
     for table in (partitions._label_columns, partitions._join_masks):
