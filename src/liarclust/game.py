@@ -69,7 +69,7 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     tables form a group, generated by the n - 1 swaps of adjacent elements,
     so they are built as the closure of those generators under composition.
     """
-    labels = list(zip(*_label_columns(n, k)))
+    labels = list(zip(*_label_columns(n, k)[0]))
     index_of = {lab: i for i, lab in enumerate(labels)}
 
     def swap(lab: tuple[int, ...], i: int) -> int:

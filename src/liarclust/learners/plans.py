@@ -26,7 +26,7 @@ from itertools import compress
 from operator import eq, gt, not_
 
 from ..limits import check_enumeration_n
-from ..partitions import Pair, Partition, _charge, _join_masks, _pair_list, stirling2
+from ..partitions import Pair, Partition, _join_masks, _pair_list, stirling2
 
 
 class DecodeError(ValueError):
@@ -316,11 +316,11 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     pair.  With lie tolerance l, separation means every two candidates
     disagree on queries of total multiplicity more than 2l, so no l lies
     can make one look like another.
-    Each candidate moves the others up levels of disagreement with it, by
-    each query's multiplicity, as the adversary moves its candidates.  Two
-    candidates never disagree on more than plan.total_queries, so from
-    2l >= plan.total_queries on only a lone candidate is decodable, and no
-    table is built.
+    Each candidate moves the others up levels of disagreement with it, one
+    level per total up to 2l that the multiplicities reach.  Two candidates
+    never disagree on more than plan.total_queries, so from 2l >=
+    plan.total_queries on only a lone candidate is decodable, and no table
+    is built.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
@@ -334,12 +334,22 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
         rows = [f"{masks[u, v]:0{count}b}" for u, v, _ in plan.queries]
         return len(set(zip(*rows))) == count
     joins = [(masks[u, v], m) for u, v, m in plan.queries]
+    totals = {0}  # every disagreement total up to 2l that some queries add up to
+    for _, m in joins:
+        totals |= {t + m for t in totals if t + m <= 2 * l}
+    rank = {t: r for r, t in enumerate(sorted(totals))}  # the level of each total
+    moves = {m: [(r, rank.get(t + m)) for t, r in reversed(rank.items())] for _, m in joins}
     everyone = (1 << count) - 1
     for i in range(count):
         bit = 1 << i
-        lv = [everyone ^ bit] + [0] * (2 * l)  # the other candidates, by disagreement with candidate i
+        lv = [everyone ^ bit] + [0] * (len(rank) - 1)  # the others, by disagreement with i
         for join, m in joins:
-            _charge(lv, everyone ^ join if join & bit else join, m)
+            costed = everyone ^ join if join & bit else join
+            spared = ~costed
+            for r, up in moves[m]:  # each level, top first, and the level of its total + m
+                if up:
+                    lv[up] |= lv[r] & costed
+                lv[r] &= spared
         if any(lv):
             return False
     return True

@@ -120,7 +120,7 @@ class AdversarialOracle:
         self.l = l
         self.hidden = None
         self.committed: Partition | None = None
-        self._cols = _label_columns(n, k)
+        self._cols = _label_columns(n, k)[0]
         self._join = _join_masks(n, (k,))
         self._all = (1 << stirling2(n, k)) - 1
         self._lv = [self._all] + [0] * l

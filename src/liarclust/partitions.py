@@ -7,7 +7,7 @@ not fixed.  It visits every partition once, in an order that tests
 elsewhere rely on ("canonical enumeration order": the lexicographic order
 of the label tuples, which are restricted growth strings).  Counting is
 done independently of enumeration via the usual recurrences, so each side
-can audit the other.
+can audit the other.  The walk that builds the columns also builds label masks.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     check_enumeration_n(n)
     if n == 0:
         yield Partition(0, ())
-    for labels in heapq.merge(*(zip(*_label_columns(n, k)) for k in range(1, n + 1))):
+    for labels in heapq.merge(*(zip(*_label_columns(n, k)[0]) for k in range(1, n + 1))):
         yield Partition.from_labels(labels)
 
 
@@ -109,34 +109,44 @@ def enumerate_k_partitions(n: int, k: int) -> Iterator[Partition]:
     check_enumeration_n(n)
     if n == k == 0:
         yield Partition(0, ())
-    for labels in zip(*_label_columns(n, k)):
+    for labels in zip(*_label_columns(n, k)[0]):
         yield Partition.from_labels(labels)
 
 
 @cache
-def _label_columns(n: int, k: int) -> tuple[bytes, ...]:
-    """Per element, its label in each k-partition in canonical order, one byte each; cached.
+def _label_columns(n: int, k: int) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
+    """The k-partitions in canonical order, per element, as label columns and label masks; cached.
 
-    A growth-string prefix's completions depend only on (positions left,
+    columns[x] holds the label of x in each k-partition, one byte each, and
+    bit i of masks[x][c] is set when the i-th one gives x label c.  A
+    growth-string prefix's completions depend only on (positions left,
     labels used), so each such state is built once, from the end back: its
     first column repeats each allowed label, ascending, once per completion
-    of that child, and each later column joins the children's columns.
+    of that child, and each later column joins the children's columns; its
+    masks, masks[i*k + c] at its i-th position, shift and sum the same way.
     """
     check_enumeration_n(n)
     if not 0 < k <= n:
-        return ()
-    states = {k: (1, ())}  # labels used -> (completions, columns), `left` positions to fill
+        return (), ()
+    states = {k: (1, (), ())}  # labels used -> (completions, columns, masks), `left` to fill
     for left in range(1, n):
         level = {}
         for used in range(max(1, k - left), min(k, n - left) + 1):
-            kids = [(c, *states[max(used, c + 1)]) for c in range(min(used + 1, k))
-                    if max(used, c + 1) + left - 1 >= k]  # the rest can still open every label
-            first = b"".join(bytes([c]) * count for c, count, _ in kids)
-            rest = (b"".join(cols[i] for _, _, cols in kids) for i in range(left - 1))
-            level[used] = len(first), (first, *rest)
+            kids, runs, head, at = [], [], [0] * k, 0
+            for c in range(min(used + 1, k)):
+                if max(used, c + 1) + left - 1 >= k:  # the rest can still open every label
+                    count, cols, masks = states[max(used, c + 1)]
+                    kids.append((at, cols, masks))
+                    runs.append(bytes([c]) * count)
+                    head[c] = ((1 << count) - 1) << at
+                    at += count
+            rest = (b"".join(cols[i] for _, cols, _ in kids) for i in range(left - 1))
+            tail = (sum(m[j] << off for off, _, m in kids) for j in range((left - 1) * k))
+            level[used] = at, (b"".join(runs), *rest), (*head, *tail)
         states = level
-    count, columns = states[1]
-    return (bytes(count), *columns)
+    count, columns, masks = states[1]
+    masks = ((1 << count) - 1, *[0] * (k - 1), *masks)
+    return (bytes(count), *columns), tuple(masks[x * k:x * k + k] for x in range(n))
 
 
 def _pair_list(n: int) -> tuple[Pair, ...]:
@@ -149,29 +159,29 @@ def _join_masks(n: int, ks: tuple[int, ...]) -> dict[Pair, int]:
     """Per pair: bitmask over the candidates that put the pair together; cached.
 
     The candidates are the k-partitions for each k in ks, side by side,
-    each k's in canonical order, and bit i stands for the i-th.  The mask
-    of label c at element x is read off x's label columns, joined over ks,
-    as a string of binary digits, reversed so that the first candidate is
-    the lowest bit; a pair is joined where its two elements share a label.
+    each k's in canonical order, and bit i stands for the i-th.  Each k's
+    label masks from _label_columns are shifted past the candidates of the
+    ks before it; a pair is joined where its two elements share a label.
     """
-    top = max(ks)
-    digits = [bytes.maketrans(bytes(range(top)), bytes(49 if d == c else 48 for d in range(top)))
-              for c in range(top)]
-    cols = [b"".join(_label_columns(n, k)[x] for k in ks) for x in range(n)]
-    masks = [[int(col[::-1].translate(t), 2) for t in digits] for col in cols]
+    check_enumeration_n(n)
+    masks, at = [[0] * max(ks) for _ in range(n)], 0
+    for k in ks:
+        for row, labels in zip(masks, _label_columns(n, k)[1]):
+            row[:k] = [r | mask << at for r, mask in zip(row, labels)]
+        at += stirling2(n, k)
     return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 
-def _charge(levels: list[int], costed: int, step: int = 1) -> None:
-    """Move the costed candidates up step levels, in place.
+def _charge(levels: list[int], costed: int) -> None:
+    """Move the costed candidates up one level, in place.
 
     levels[j] is the mask of the candidates that disagree with exactly j
     answers; a candidate pushed past the last level drops out.
     """
     spared = ~costed
-    for j in range(len(levels) - 1, -1, -1):
-        levels[j] = (levels[j] & spared | levels[j - step] & costed if j >= step
-                     else levels[j] & spared)
+    for j in range(len(levels) - 1, 0, -1):
+        levels[j] = levels[j] & spared | levels[j - 1] & costed
+    levels[0] &= spared
 
 
 def _stirling_row(n: int, k: int) -> list[int]:

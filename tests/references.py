@@ -6,7 +6,8 @@ masks.  k_inseparable asks the plan decoder's coloring search whether a
 pair can be split, without going through the adversary's level masks.
 k_partitions filters every restricted growth string, so it reads none of
 the label columns that the package enumerates partitions from, nor does
-label_tuples, which reads its partitions' labels, and
+label_tuples, which reads its partitions' labels, nor join_masks, which
+parses each element's label column from those strings in binary, and
 relabel_tables applies every permutation of the elements to every
 k-partition, where the solver closes the adjacent swaps under composition;
 canonical_key applies the solver's key rule to every one of those tables.
@@ -21,7 +22,8 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from operator import and_, or_
 from typing import Iterator
 
 from liarclust.learners.adaptive import _insertion_sweep
@@ -63,6 +65,26 @@ def k_partitions(n: int, k: int) -> Iterator[Partition]:
 def label_tuples(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The labels of every k-partition of {0..n-1}, in canonical order."""
     return tuple(p.labels for p in k_partitions(n, k))
+
+
+def join_masks(n: int, ks: tuple[int, ...]) -> dict[Pair, int]:
+    """Per pair, the mask of the candidates that join it, read off digit strings.
+
+    The candidates are the k-partitions for each k in ks, side by side, and
+    bit i stands for the i-th.  Each element's labels over the candidates,
+    one byte each, are translated to the binary digits of one label,
+    reversed so that the first candidate is the lowest bit, and parsed.
+    """
+    top = max(ks)
+    digits = [bytes.maketrans(bytes(range(top)), bytes(49 if d == c else 48 for d in range(top)))
+              for c in range(top)]
+    strings = list(restricted_growth_strings(n))
+    rows = [s for k in ks for s in strings if max(s) == k - 1]
+    masks = [[int(bytes(col)[::-1].translate(t), 2) for t in digits] for col in zip(*rows)]
+    return {
+        (u, v): reduce(or_, map(and_, masks[u], masks[v]))
+        for u, v in itertools.combinations(range(n), 2)
+    }
 
 
 @cache

@@ -149,6 +149,18 @@ def test_check_plan_with_a_huge_lie_tolerance(capsys):
     assert json.loads(out)["decodable"] is False
 
 
+def test_check_plan_with_huge_multiplicities(capsys, tmp_path):
+    # 2l is below the plan's total, so the check runs: valid input, negative verdict.
+    huge = 2**62
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"n": 3, "k_mode": None, "queries": [
+        [0, 1, huge], [0, 2, huge], [1, 2, huge]]}))
+    for l in (huge, huge - 1):
+        code, out, err = run_cli(capsys, "check-plan", "--plan-file", str(plan_file), "-l", str(l))
+        assert (code, err) == (1, ""), l
+        assert json.loads(out)["decodable"] is False, l
+
+
 def test_decode_round_trip(capsys, tmp_path):
     from liarclust.learners.plans import build_plan, truthful_answers
     from liarclust.partitions import Partition

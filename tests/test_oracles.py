@@ -12,6 +12,7 @@ import pytest
 from liarclust import oracles, partitions
 from liarclust.bounds import upper_bound_known
 from liarclust.harness import ExperimentConfig, simulate
+from liarclust.learners.adaptive import robust_insertion
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
 from liarclust.partitions import Partition
@@ -181,3 +182,14 @@ def test_robust_learner_beats_the_adversary_at_the_enumeration_cap():
     (row,) = simulate(config).rows
     assert row.correct
     assert row.queries == upper_bound_known(12, 5, 1) == 77
+
+
+def test_adversary_pins_its_witness_on_the_largest_benchmark_table():
+    # S(10, 4) = 34,105 candidates; the witness is the lowest candidate bit
+    # left at level l, so any change in candidate order changes it.
+    oracle = AdversarialOracle(10, 4, 1)
+    transcript = robust_insertion(10, 1, oracle, 4)
+    witness = Partition(10, ((0,), (1,), (2, 9), (3, 4, 5, 6, 7, 8)))
+    assert transcript.queries == upper_bound_known(10, 4, 1) == 49
+    assert transcript.result == oracle.unique_witness() == oracle.committed == witness
+    assert oracle.lies_used == 1

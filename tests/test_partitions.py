@@ -19,7 +19,13 @@ from liarclust.partitions import (
     random_k_partition,
     stirling2,
 )
-from references import SignedAnswers, k_partitions, label_tuples, restricted_growth_strings
+from references import (
+    SignedAnswers,
+    join_masks,
+    k_partitions,
+    label_tuples,
+    restricted_growth_strings,
+)
 
 # Frozen reference counts (standard tables, written down before the code).
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140}
@@ -163,7 +169,7 @@ def test_charge_matches_reference_costs_capped_past_the_top():
                     answer, m = rng.choice((1, -1)), rng.randint(1, 3)
                     for _ in range(m):
                         record = record.record_response(u, v, answer)
-                    _charge(levels, everyone ^ masks[u, v] if answer == 1 else masks[u, v], m)
+                        _charge(levels, everyone ^ masks[u, v] if answer == 1 else masks[u, v])
                     got = [
                         next((j for j, level in enumerate(levels) if level >> i & 1), top + 1)
                         for i in range(len(candidates))
@@ -187,7 +193,23 @@ def test_label_columns_match_filtered_growth_strings():
         for k in range(n + 2):
             rows = [s for s in strings if max(s) == k - 1] if 0 < k <= n else []
             want = tuple(bytes(col) for col in zip(*rows))
-            assert _label_columns(n, k) == want, (n, k)
+            assert _label_columns(n, k)[0] == want, (n, k)
+
+
+def test_join_masks_match_the_digit_string_reference():
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            assert _join_masks(n, (k,)) == join_masks(n, (k,)), (n, k)
+        if n <= 8:
+            ks = tuple(range(1, n + 1))
+            assert _join_masks(n, ks) == join_masks(n, ks), n
+    # Bit i of masks[x][c] is set where column x gives candidate i label c.
+    for n, k in [(1, 1), (5, 3), (8, 4)]:
+        columns, masks = _label_columns(n, k)
+        for col, row in zip(columns, masks):
+            assert row == tuple(
+                sum(1 << i for i, label in enumerate(col) if label == c) for c in range(k)
+            ), (n, k)
 
 
 def test_enumeration_limit_guard(monkeypatch):
@@ -195,10 +217,14 @@ def test_enumeration_limit_guard(monkeypatch):
         raise AssertionError(f"tables built for n={n} past the cap")
 
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
+    partitions._join_masks.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(partitions, "_label_columns", unreachable)
         with pytest.raises(ExhaustionLimitError):
             list(enumerate_partitions(6))
+        for ks in [(2,), (1, 2, 3, 4, 5, 6)]:
+            with pytest.raises(ExhaustionLimitError):
+                _join_masks(6, ks)
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "6")
     assert len(list(enumerate_partitions(6))) == 203
 

@@ -518,6 +518,29 @@ def test_plan_decodable_builds_no_table_once_2l_covers_the_plan(monkeypatch):
     assert plan_decodable(QueryPlan(6, 1, ()), huge)
 
 
+def test_plan_decodable_with_huge_multiplicities():
+    # 2l is below the plan's total, yet 2l + 1 levels would not fit in memory.
+    huge = 2**62
+    plan = QueryPlan(3, None, ((0, 1, huge), (0, 2, huge), (1, 2, huge)))
+    assert not plan_decodable(plan, huge)
+    assert not plan_decodable(plan, huge - 1)
+    rng = random.Random("huge-multiplicities")
+    verdicts = {False: 0, True: 0}
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        queries = tuple(
+            (u, v, rng.randint(1, 4) * huge + rng.randint(0, 1))
+            for u, v in combinations(range(n), 2)
+            if rng.random() < 0.8
+        )
+        plan = QueryPlan(n, rng.choice([None, *range(2, n)]) if n > 2 else None, queries)
+        l = rng.randint(1, 5) * huge // 2 - rng.randint(0, 1)
+        want = _reference_decodable(plan, l)
+        assert plan_decodable(plan, l) == want, (plan, l)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 30, verdicts
+
+
 def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
     plan = build_plan(6, 2)
     for table in (partitions._label_columns, partitions._join_masks):
