@@ -8,9 +8,9 @@ the answers determine the partition even against l lies, so the number of
 queries played is exactly the cost of learning it.  exact_game_value finds
 that number under optimal play on both sides, by memoized alpha-beta
 search over capped cost vectors, cut and ordered by the Renyi-Ulam volume
-bound; at k = n - 1 the value has a closed form and needs no search.  One
-concrete responder, the adversary that the simulations play against, is
-AdversarialOracle in liarclust.oracles.
+bound.  At k = n - 1 and at l = 0 the value has a closed form: no search
+and no relabel table.  One concrete responder, the adversary that the
+simulations play against, is AdversarialOracle in liarclust.oracles.
 
 The search caps every recorded cost at l+1: a partition past the lie budget
 is out of the game no matter how much further weight it collects.  A
@@ -21,7 +21,8 @@ relabeling of the ground set by relabel tables, one operator.itemgetter each:
 a class is one orbit's candidates of one cost, and the key is the least image
 that puts the class needing the fewest tables at its orbit's first index, so
 two positions share a key exactly when one relabels the other.  Keys are
-memoized per raw position for the life of one search.
+memoized per raw position for the life of one search, and interned, one
+bytes object per class.
 
 No questioner beats Berlekamp's volume bound, bounds.volume_bound, so a
 position whose bound already reaches the search window is cut before it is
@@ -39,7 +40,7 @@ from functools import cache
 from math import comb
 from operator import itemgetter
 
-from .bounds import hamming_ball_volume, volume_bound
+from .bounds import hamming_ball_volume, upper_bound_known, volume_bound
 from .limits import check_permutation_n
 from .partitions import _join_masks, _label_columns, _pair_list, stirling2
 
@@ -66,18 +67,19 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     For table t, the state vector of the relabeled position is
     (cost[t[0]], cost[t[1]], ...); the least such vector over all tables is
     a canonical key for positions that differ only by element names.  The
-    tables form a group, generated by the n - 1 swaps of adjacent elements,
-    so they are built as the closure of those generators under composition.
+    tables form a group, generated by the swap (0 1) and the n-cycle
+    x -> x + 1, so they are built as the closure of those two generators
+    under composition: each new table costs two getter calls.
     """
     labels = list(zip(*_label_columns(n, k)[0]))
     index_of = {lab: i for i, lab in enumerate(labels)}
 
-    def swap(lab: tuple[int, ...], i: int) -> int:
+    def relabel(lab: tuple[int, ...], order: tuple[int, ...]) -> int:
         names: dict[int, int] = {}
-        lab = (*lab[:i], lab[i + 1], lab[i], *lab[i + 2:])
-        return index_of[tuple(names.setdefault(x, len(names)) for x in lab)]
+        return index_of[tuple(names.setdefault(lab[x], len(names)) for x in order)]
 
-    gens = [itemgetter(*(swap(lab, i) for lab in labels)) for i in range(n - 1)]
+    gens = [itemgetter(*(relabel(lab, order) for lab in labels))
+            for order in ((1, 0, *range(2, n)), (n - 1, *range(n - 1)))]
     tables = frontier = {tuple(range(len(labels)))}
     while frontier:
         frontier = {gen(t) for t in frontier for gen in gens} - tables
@@ -118,6 +120,7 @@ class GameValueResult:
     nodes: int
 
 
+# A transposition-table entry is one int, value << 2 | flag.
 _TT_EXACT, _TT_LOWER, _TT_UPPER = 0, 1, 2
 
 
@@ -139,13 +142,14 @@ class _MinimaxSolver:
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
-        self.tt: dict[bytes, tuple[int, int]] = {}
+        self.classes: dict[bytes, bytes] = {}
+        self.tt: dict[bytes, int] = {}
 
     def _spread(self, mask: int) -> int:
         return int.from_bytes(bytes(mask >> i & 1 for i in range(self.size)), "little")
 
     def _canon(self, s: bytes) -> bytes:
-        """The least image of s over the tables of its smallest class, memoized.
+        """The least image of s over the tables of its smallest class, memoized and interned.
 
         A class is an orbit, with first index j, and a cost: its tables move
         an orbit member of that cost to index j, so it has (members of that
@@ -166,7 +170,8 @@ class _MinimaxSolver:
                         if size < least or size == least and c < cost:
                             least, cost, read, pick = size, c, costs, groups
             images = [g(s) for c, gs in zip(read, pick) if c == cost for g in gs]
-            key = self.keys[s] = bytes(min(images))
+            key = bytes(min(images))
+            key = self.keys[s] = self.classes.setdefault(key, key)
         return key
 
     def solve(self) -> int:
@@ -185,7 +190,7 @@ class _MinimaxSolver:
         key = self._canon(s)
         entry = self.tt.get(key)
         if entry is not None:
-            flag, val = entry
+            flag, val = entry & 3, entry >> 2
             if flag == _TT_EXACT:
                 return val
             if flag == _TT_LOWER:
@@ -252,7 +257,7 @@ class _MinimaxSolver:
             flag = _TT_LOWER
         else:
             flag = _TT_EXACT
-        self.tt[key] = (flag, value)
+        self.tt[key] = value << 2 | flag
         return value
 
     def _fr(self, x: int, live: int, pi: int, alpha: int, beta: int) -> int:
@@ -288,13 +293,9 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     """Value of the game under optimal play: the exact worst-case query count.
 
     The search is alpha-beta over positions up to relabeling, cut and
-    ordered by the volume bound.  A position whose bound reaches the search
-    window returns the bound before it is canonicalized or looked up, and a
-    position stops trying pairs once one meets its bound.  Pairs are tried
-    by the volume of their heavier child, least first (Berlekamp's balance),
-    then by how evenly they split the live candidates; answers are tried
-    higher-bound child first, then the child with more live candidates.
-    nodes counts the positions expanded.
+    ordered by the volume bound as the module docstring says; ties go to the
+    pair that splits the live candidates more evenly, and to the answer that
+    keeps more of them.  nodes counts the positions expanded.
 
     At k = n - 1 the value is (l + 1) C(n, 2) - 1 = upper_bound_known, with
     no search: a candidate is named by its one joined pair, so asking pair p
@@ -307,6 +308,17 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
     bound: answer split, except join when exactly two candidates are live
     and the one asked about has one life left; every query then lowers S by
     at most 1, and the game ends only when S = 1.
+
+    At l = 0 and 1 < k < n the value is n(k - 1) - C(k, 2) = upper_bound_known,
+    with no search; insertion told k asks that many.  Lower bound: answer -1
+    whenever some live candidate separates the pair.  +1 answers then remove
+    nothing, so the live candidates are the k-colorings (partitions into k
+    nonempty independent sets) of the graph G of -1 answers, and the game
+    ends only when G has one, V_1, ..., V_k of sizes s_i.  Each G[V_i + V_j]
+    is then connected: else swapping the sides of some component of it gives
+    a second k-coloring, unless V_i, V_j are unjoined singletons, and then
+    merging them and splitting a vertex off a larger class (k < n) does.  So
+    G has at least the sum over i < j of s_i + s_j - 1 = n(k - 1) - C(k, 2) edges.
 
     Raises SearchBudgetExceededError when the memoized search would expand
     more than node_budget positions or recurse past the interpreter's
@@ -325,6 +337,8 @@ def exact_game_value(n: int, k: int, l: int, node_budget: int = 10_000_000) -> G
         return GameValueResult(n, k, l, 0, 0)
     if k == n - 1:
         return GameValueResult(n, k, l, (l + 1) * comb(n, 2) - 1, 0)
+    if l == 0:
+        return GameValueResult(n, k, l, upper_bound_known(n, k, 0), 0)
     if l > MAX_SOLVER_LIES:
         # Any two candidates must be told apart by 2l+1 answers, so the
         # search is at least that many queries deep.

@@ -2,11 +2,11 @@
 
 Every exhaustive routine in this package (partition enumeration, the
 minimax solver's relabel tables) is meant for instances small enough to
-check by complete enumeration.  The permutation cap bounds n, the number
-of elements, for exact_game_value's relabel tables, one per permutation of
-the elements.  The caps below stop an accidental n=40 from hanging a
-terminal; they can be raised per process through environment variables
-when a bigger desk is wanted.
+check by complete enumeration.  The permutation cap bounds n for
+exact_game_value's relabel tables, one per permutation of the elements,
+which only cells that search build: k = 1, k >= n - 1 and l = 0 ignore it.
+The caps below stop an accidental n=40 from hanging a terminal; they can be
+raised per process through environment variables when a bigger desk is wanted.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
+from math import factorial
 from operator import and_, or_
 from typing import Iterable, Iterator
 
@@ -210,17 +211,42 @@ def bell(n: int) -> int:
     return sum(_stirling_row(n, n))
 
 
+@cache
+def _growth_counts(n: int, k: int) -> list[list[int]]:
+    """counts[left][used]: ways to fill left more growth-string positions, opening all k labels."""
+    counts = [[int(used == k) for used in range(k + 2)]]
+    for _ in range(n):
+        counts.append([u * counts[-1][u] + counts[-1][u + 1] for u in range(k + 1)] + [0])
+    return counts
+
+
+@cache
+def _rejection_is_slow(n: int, k: int) -> bool:
+    """Would rejection take more than 1,000 draws on average, k^n / (k! S(n, k))?"""
+    return k**n > 1000 * factorial(k) * stirling2(n, k)
+
+
 def random_k_partition(n: int, k: int, rng: random.Random) -> Partition:
     """Uniform random partition of {0..n-1} into exactly k clusters.
 
     Samples uniform surjections onto k labels and rejects non-surjective
     draws; every k-partition has exactly k! labelings, so the induced
-    distribution over partitions is uniform.
+    distribution over partitions is uniform.  Where that takes more than
+    1,000 draws on average, it draws a growth string label by label instead,
+    each label weighted by the completions of the state it leads to.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     randrange = rng.randrange
-    while True:
-        labels = [randrange(k) for _ in range(n)]
-        if len(set(labels)) == k:
-            return Partition.from_labels(labels)
+    if not _rejection_is_slow(n, k):
+        while True:
+            labels = [randrange(k) for _ in range(n)]
+            if len(set(labels)) == k:
+                return Partition.from_labels(labels)
+    counts, labels, used = _growth_counts(n, k), [0], 1
+    for left in range(n - 2, -1, -1):
+        stay = used * counts[left][used]  # picks below stay keep one of the used labels
+        pick = randrange(counts[left + 1][used])
+        labels.append(pick % used if pick < stay else used)
+        used += pick >= stay
+    return Partition.from_labels(labels)

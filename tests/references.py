@@ -9,8 +9,10 @@ the label columns that the package enumerates partitions from, nor does
 label_tuples, which reads its partitions' labels, nor join_masks, which
 parses each element's label column from those strings in binary, and
 relabel_tables applies every permutation of the elements to every
-k-partition, where the solver closes the adjacent swaps under composition;
+k-partition, where the solver closes two generators under composition;
 canonical_key applies the solver's key rule to every one of those tables.
+fewest_edges_with_one_k_partition tries every graph, fewest edges first,
+for the lemma behind the game value without lies.
 AUDIT_GRIDS spells out the cells that each harness audit table must name.
 label_sequence_mean runs the insertion sweep on one order per distinct
 sequence of cluster labels, and set_partition_mean on one order per set
@@ -123,6 +125,25 @@ def canonical_key(n: int, k: int, costs: bytes) -> bytes:
             classes.append((len(picked), cost, j, picked))
     picked = min(classes, key=lambda c: c[:3])[3]
     return min(bytes(costs[i] for i in t) for t in picked)
+
+
+def fewest_edges_with_one_k_partition(n: int, k: int) -> int:
+    """Fewest edges of a graph on {0..n-1} that exactly one k-partition crosses everywhere.
+
+    By brute force: graphs in order of edge count, each checked against
+    every k-partition's mask of crossing pairs.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    crossing = [
+        sum(1 << i for i, (u, v) in enumerate(pairs) if p.labels[u] != p.labels[v])
+        for p in k_partitions(n, k)
+    ]
+    for size in range(len(pairs) + 1):
+        for edges in itertools.combinations(range(len(pairs)), size):
+            graph = sum(1 << i for i in edges)
+            if sum(graph & c == graph for c in crossing) == 1:
+                return size
+    raise AssertionError(f"no graph has a unique {k}-partition on {n} elements")
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:

@@ -251,6 +251,11 @@ def test_game_value_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["value"] == 3
+    assert data["nodes"] == 0  # no lies: closed form, no search
+    code, out, _ = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "-l", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["value"] == 6
     assert data["nodes"] >= 1
 
 
@@ -269,7 +274,9 @@ def test_game_value_negative_budget_exits_two(capsys):
     assert err.startswith("error:") and err.count("\n") == 1, err
     assert "node budget" in err
     # A zero budget is valid input: the search gives up at its first node.
-    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "--budget", "0")
+    code, out, err = run_cli(
+        capsys, "game-value", "-n", "4", "-k", "2", "-l", "1", "--budget", "0"
+    )
     assert code == 3
     assert err.startswith("search gave up:")
 
@@ -299,7 +306,7 @@ def test_game_value_too_deep_gives_up_on_one_line(capsys):
 
 def test_game_value_above_the_permutation_cap_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
-    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2")
+    code, out, err = run_cli(capsys, "game-value", "-n", "4", "-k", "2", "-l", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "LIARCLUST_MAX_PERM_N" in err
@@ -484,6 +491,6 @@ def test_readme_examples_replay_line_for_line(capsys, monkeypatch, tmp_path):
             else:
                 assert got == want, line
             replayed += 1
-    assert replayed == 9
+    assert replayed == 10
     (library,) = _readme_blocks("python")
     exec(compile(library, "README.md", "exec"), {})

@@ -24,6 +24,7 @@ from liarclust.partitions import Partition, _join_masks, stirling2
 from references import (
     SignedAnswers,
     canonical_key,
+    fewest_edges_with_one_k_partition,
     k_inseparable,
     k_partitions,
     label_tuples,
@@ -378,9 +379,11 @@ def test_exact_game_value_checks_the_permutation_cap_before_any_table(monkeypatc
     assert exact_game_value(12, 1, 0) == GameValueResult(12, 1, 0, 0, 0)
     monkeypatch.setenv("LIARCLUST_MAX_PERM_N", "3")
     with pytest.raises(ExhaustionLimitError):
-        exact_game_value(4, 2, 0)
-    # So do cells with one joined pair per candidate: their value is closed form.
+        exact_game_value(4, 2, 1)
+    # So do cells with one joined pair per candidate, and cells without lies:
+    # their values are closed form.
     assert exact_game_value(12, 11, 1) == GameValueResult(12, 11, 1, 131, 0)
+    assert exact_game_value(12, 5, 0) == GameValueResult(12, 5, 0, 38, 0)
 
 
 def test_exact_game_value_pins_values_and_node_counts():
@@ -423,7 +426,7 @@ def test_exact_game_value_pins_values_and_node_counts():
         (5, 4, 1): 1914,
     }
     for (n, k, l), (value, nodes) in pinned.items():
-        if k == n - 1:
+        if k == n - 1 or l == 0:
             # exact_game_value answers in closed form here; the search is
             # still pinned, as the reference for that form.
             solver = _MinimaxSolver(n, k, l, node_budget=10_000_000)
@@ -442,6 +445,41 @@ def test_closed_form_at_one_joined_pair_matches_the_search():
             value = _MinimaxSolver(n, n - 1, l, node_budget=10_000_000).solve()
             assert value == (l + 1) * math.comb(n, 2) - 1 == upper_bound_known(n, n - 1, l)
             assert exact_game_value(n, n - 1, l) == GameValueResult(n, n - 1, l, value, 0)
+
+
+def test_closed_form_without_lies_matches_the_search():
+    # At l = 0 the value is n(k - 1) - C(k, 2), insertion's worst case told k.
+    for n in range(3, 7):
+        for k in range(2, n):
+            value = _MinimaxSolver(n, k, 0, node_budget=10_000_000).solve()
+            assert value == n * (k - 1) - math.comb(k, 2) == upper_bound_known(n, k, 0)
+            assert exact_game_value(n, k, 0) == GameValueResult(n, k, 0, value, 0)
+
+
+def test_closed_form_without_lies_counts_the_edges_of_a_uniquely_colorable_graph():
+    # The lemma behind the l = 0 form, by brute force over graphs: the fewest
+    # -1 answers that leave exactly one k-partition.
+    for n in range(3, 7):
+        for k in range(2, n):
+            assert fewest_edges_with_one_k_partition(n, k) == upper_bound_known(n, k, 0), (n, k)
+
+
+def test_k2_column_against_the_volume_bound():
+    # With two clusters a candidate is a bit vector with element 0 fixed and
+    # a query asks the parity of two bits: Renyi-Ulam search restricted to
+    # pair-parity questions.  The value meets Berlekamp's volume bound at
+    # l = 1 and l = 2, and is one above it at l = 3.
+    pinned = {(4, 2, 3): (12, 212), (5, 2, 3): (14, 1791)}
+    for n in range(4, 7):
+        for l in (1, 2, 3):
+            if l == 3 and n == 6:
+                continue  # (6,2,3) = 16 against 14 takes seconds; see the README
+            solver = _MinimaxSolver(n, 2, l, node_budget=10_000_000)
+            value = solver.solve()
+            if (n, 2, l) in pinned:
+                assert (value, solver.nodes) == pinned[(n, 2, l)]
+            hist = (stirling2(n, 2), *[0] * l)
+            assert value - volume_bound(hist, l) == (l == 3), (n, l, value)
 
 
 def test_one_joined_pair_positions_are_worth_their_lives_minus_one():

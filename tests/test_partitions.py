@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -237,3 +238,43 @@ def test_random_k_partition_is_valid_and_seeded():
     a = random_k_partition(8, 4, random.Random(123))
     b = random_k_partition(8, 4, random.Random(123))
     assert a == b
+    # Cells where rejection would take hours draw growth strings instead.
+    assert random_k_partition(25, 25, rng) == Partition(25, tuple((x,) for x in range(25)))
+    assert {random_k_partition(16, 14, rng).k for _ in range(20)} == {14}
+
+
+class _ScriptedRandom:
+    """randrange returns the scripted picks in turn, then 0, and keeps each stop it is given."""
+
+    def __init__(self, picks: list[int]) -> None:
+        self.picks, self.stops = picks, []
+
+    def randrange(self, stop: int) -> int:
+        self.stops.append(stop)
+        i = len(self.stops) - 1
+        return self.picks[i] if i < len(self.picks) else 0
+
+
+def test_growth_string_draws_give_each_k_partition_probability_one_over_s(monkeypatch):
+    # Every value of every pick, grouped by the label it gives: the picks so
+    # far fix positions 1..len(picks), and position 0 always has label 0.
+    monkeypatch.setattr(partitions, "_rejection_is_slow", lambda n, k: True)
+
+    def walk(n, k, picks, weight, prob):
+        rng = _ScriptedRandom(picks)
+        p = random_k_partition(n, k, rng)
+        if len(rng.stops) == len(picks):
+            prob[p] = prob.get(p, 0) + weight
+            return
+        stop, groups = rng.stops[len(picks)], {}
+        for r in range(stop):
+            p = random_k_partition(n, k, _ScriptedRandom([*picks, r]))
+            groups.setdefault(p.labels[len(picks) + 1], []).append(r)
+        for rs in groups.values():
+            walk(n, k, [*picks, rs[0]], weight * Fraction(len(rs), stop), prob)
+
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            prob = {}
+            walk(n, k, [], Fraction(1), prob)
+            assert prob == dict.fromkeys(k_partitions(n, k), Fraction(1, stirling2(n, k))), (n, k)
