@@ -69,7 +69,7 @@ def _load_plan(args) -> QueryPlan:
         if args.n is None:
             raise ValueError("provide -n (and optionally -k), or --plan-file")
         plan = build_plan(args.n, args.k)
-    if getattr(args, "robust", None):
+    if args.robust:
         plan = robust_plan(plan, args.robust)
     return plan
 
@@ -219,27 +219,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-l", "--lies", type=int, default=0)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("plan", help="print the nonadaptive plan as JSON")
-    p.add_argument("-n", type=int)
-    p.add_argument("-k", type=int, help="cluster promise; omit for the unknown-k plan")
-    p.add_argument("--robust", type=int, metavar="L", help="repeat queries for L lies")
-    p.add_argument("--plan-file", help="load a plan instead of building one")
+    plan_args = argparse.ArgumentParser(add_help=False)
+    plan_args.add_argument("-n", type=int)
+    plan_args.add_argument("-k", type=int, help="cluster promise; omit for the unknown-k plan")
+    plan_args.add_argument("--robust", type=int, metavar="L", help="repeat queries for L lies")
+    plan_args.add_argument("--plan-file", help="load a plan instead of building one")
+
+    p = sub.add_parser("plan", parents=[plan_args], help="print the nonadaptive plan as JSON")
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("check-plan", help="verify a plan distinguishes all candidates")
-    p.add_argument("-n", type=int)
-    p.add_argument("-k", type=int)
+    p = sub.add_parser("check-plan", parents=[plan_args],
+                       help="verify a plan distinguishes all candidates")
     p.add_argument("-l", "--lies", type=int, default=0)
-    p.add_argument("--robust", type=int, metavar="L")
-    p.add_argument("--plan-file")
     p.set_defaults(func=cmd_check_plan)
 
-    p = sub.add_parser("decode", help="decode recorded answers for a plan")
-    p.add_argument("-n", type=int)
-    p.add_argument("-k", type=int)
+    p = sub.add_parser("decode", parents=[plan_args], help="decode recorded answers for a plan")
     p.add_argument("-l", "--lies", type=int, default=None, help="strict majority against L lies per pair")
-    p.add_argument("--robust", type=int, metavar="L")
-    p.add_argument("--plan-file")
     p.add_argument("--answers-file", required=True, help="JSON list of [u, v, sign]")
     p.set_defaults(func=cmd_decode)
 

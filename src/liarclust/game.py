@@ -38,11 +38,11 @@ import sys
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .bounds import hamming_ball_volume, upper_bound_known, volume_bound
 from .limits import check_permutation_n
-from .partitions import _join_masks, _label_columns, _pair_list, stirling2
+from .partitions import _label_columns, _pair_list, stirling2
 
 _INF = 1 << 30
 
@@ -129,7 +129,8 @@ class _MinimaxSolver:
 
     A position is read through masks spread 8 bits apart: bit 8i stands for
     candidate i, byte i of the position, so a level mask is the position
-    translated to 0/1 bytes and read as one little-endian integer.
+    translated to 0/1 bytes and read as one little-endian integer, and a
+    pair's join mask compares its two elements' label columns byte by byte.
     """
 
     def __init__(self, n: int, k: int, l: int, node_budget: int) -> None:
@@ -137,16 +138,15 @@ class _MinimaxSolver:
         self.size = stirling2(n, k)
         self.levels = range(l + 1)
         self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
-        self.join = [self._spread(_join_masks(n, (k,))[p]) for p in _pair_list(n)]
+        cols = _label_columns(n, k)[0]
+        self.join = [int.from_bytes(bytes(map(eq, cols[u], cols[v])), "little")
+                     for u, v in _pair_list(n)]
         self.orbits = _relabel_groups(n, k)
         self.node_budget = node_budget
         self.nodes = 0
         self.keys: dict[bytes, bytes] = {}
         self.classes: dict[bytes, bytes] = {}
         self.tt: dict[bytes, int] = {}
-
-    def _spread(self, mask: int) -> int:
-        return int.from_bytes(bytes(mask >> i & 1 for i in range(self.size)), "little")
 
     def _canon(self, s: bytes) -> bytes:
         """The least image of s over the tables of its smallest class, memoized and interned.

@@ -124,15 +124,12 @@ class ExperimentConfig:
                 raise ValueError(f"sizes {self.sizes} do not sum to n={self.n}")
             if self.k is not None and self.k != len(self.sizes):
                 raise ValueError("k disagrees with the number of sizes")
-        spec = LEARNERS[self.learner]
-        if spec.robust and self.robustified:
+        if LEARNERS[self.learner].robust and self.robustified:
             raise ValueError(f"{self.learner} already repeats queries")
-        if spec.needs_k and self.effective_k is None:
-            raise ValueError(f"{self.learner} needs k or sizes")
-        if self.effective_k is None and self.oracle != "adversary":
-            raise ValueError("hidden partition needs k or sizes")
-        if self.oracle == "adversary" and self.effective_k is None:
-            raise ValueError("the adversary needs k")
+        if self.effective_k is None:
+            raise ValueError("need k or sizes")
+        if not 1 <= self.effective_k <= self.n:
+            raise ValueError(f"need 1 <= k <= n, got k={self.effective_k}, n={self.n}")
         if self.oracle == "adversary" and self.l != self.tolerance:
             raise ValueError(
                 "against the adversary the learner's lie tolerance must equal l; "
@@ -224,8 +221,7 @@ def _trial_learner(config: ExperimentConfig, trial: int):
 
 
 def _query_cap(config: ExperimentConfig) -> int:
-    k = config.effective_k or config.n
-    cap = 4 * (upper_bound_unknown(config.n, k, config.tolerance) + 1)
+    cap = 4 * (upper_bound_unknown(config.n, config.effective_k, config.tolerance) + 1)
     if config.oracle == "liar":
         # The liar may spend lies beyond the learner's tolerance; every lie
         # can cost one extra repetition round.

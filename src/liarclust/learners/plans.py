@@ -316,11 +316,13 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     pair.  With lie tolerance l, separation means every two candidates
     disagree on queries of total multiplicity more than 2l, so no l lies
     can make one look like another.
-    Each candidate moves the others up levels of disagreement with it, one
-    level per total up to 2l that the multiplicities reach.  Two candidates
-    never disagree on more than plan.total_queries, so from 2l >=
-    plan.total_queries on only a lone candidate is decodable, and no table
-    is built.
+    With lies each candidate counts the others' disagreement with it in
+    binary, one mask per digit, from 2^w - (2l + 1), w the width of 2l + 1:
+    a counter carries out of its top digit when it reaches 2l + 1, and a
+    query asked more than 2l times carries out every candidate it costs.
+    Two candidates never disagree on more than plan.total_queries, so from
+    2l >= plan.total_queries on only a lone candidate is decodable, and no
+    table is built.
     """
     if l < 0:
         raise ValueError(f"lie tolerance must be nonnegative, got {l}")
@@ -333,23 +335,25 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     if l == 0:
         rows = [f"{masks[u, v]:0{count}b}" for u, v, _ in plan.queries]
         return len(set(zip(*rows))) == count
+    width = (2 * l + 1).bit_length()
+    start = (1 << width) - (2 * l + 1)
     joins = [(masks[u, v], m) for u, v, m in plan.queries]
-    totals = {0}  # every disagreement total up to 2l that some queries add up to
-    for _, m in joins:
-        totals |= {t + m for t in totals if t + m <= 2 * l}
-    rank = {t: r for r, t in enumerate(sorted(totals))}  # the level of each total
-    moves = {m: [(r, rank.get(t + m)) for t, r in reversed(rank.items())] for _, m in joins}
     everyone = (1 << count) - 1
     for i in range(count):
         bit = 1 << i
-        lv = [everyone ^ bit] + [0] * (len(rank) - 1)  # the others, by disagreement with i
+        live = everyone ^ bit  # the others not yet told apart from i
+        digits = [live if start >> b & 1 else 0 for b in range(width)]
         for join, m in joins:
-            costed = everyone ^ join if join & bit else join
-            spared = ~costed
-            for r, up in moves[m]:  # each level, top first, and the level of its total + m
-                if up:
-                    lv[up] |= lv[r] & costed
-                lv[r] &= spared
-        if any(lv):
+            costed = live & (everyone ^ join if join & bit else join)
+            if m > 2 * l:
+                live ^= costed
+                continue
+            carry = 0
+            for b, d in enumerate(digits):
+                add = costed if m >> b & 1 else 0
+                digits[b] = d ^ add ^ carry
+                carry = d & add | (d | add) & carry
+            live ^= carry
+        if live:
             return False
     return True

@@ -2,12 +2,12 @@
 
 Three oracles share one duck-typed interface: ``answer(u, v) -> +1 | -1``,
 an ``n``, a lie budget ``l``, a ``lies_used`` count, and ``verify_budget()``
-confirming the budget was respected.  The truthful oracle reads a hidden
-partition directly.  The random liar flips answers with a fixed probability
-until its budget runs out.  The adversary has no hidden partition at all:
-it plays the consistency game of ``liarclust.game``, answering however it
-likes as long as some k-partition stays within the lie budget, which makes
-it a worst case for deterministic learners.
+confirming the budget was respected.  The random liar reads a hidden
+partition and flips answers with a fixed probability until its budget runs
+out; the truthful oracle is the liar with budget 0.  The adversary has no
+hidden partition: it plays the consistency game of ``liarclust.game``,
+answering however it likes as long as some k-partition stays within the
+lie budget, which makes it a worst case for deterministic learners.
 """
 
 from __future__ import annotations
@@ -17,28 +17,7 @@ from functools import reduce
 from operator import or_
 
 from .limits import check_enumeration_n
-from .partitions import Partition, _charge, _join_masks, _label_columns, stirling2
-
-
-class TruthfulOracle:
-    """Answers straight from a hidden partition."""
-
-    kind = "truthful"
-
-    def __init__(self, hidden: Partition) -> None:
-        self.hidden = hidden
-        self._labels = hidden.labels
-        self.n = hidden.n
-        self.l = 0
-        self.lies_used = 0
-
-    def answer(self, u: int, v: int) -> int:
-        if u != v and 0 <= u < self.n and 0 <= v < self.n:
-            return 1 if self._labels[u] == self._labels[v] else -1
-        return self.hidden.same_cluster(u, v)
-
-    def verify_budget(self) -> bool:
-        return True
+from .partitions import Partition, _join_masks, _label_columns, stirling2
 
 
 class RandomLiarOracle:
@@ -46,6 +25,7 @@ class RandomLiarOracle:
 
     The flip decisions come from a private generator seeded at construction,
     so a run is reproducible from (hidden, l, p, seed) and the query order.
+    With l = 0 no answer can flip, so no generator is built.
     """
 
     kind = "liar"
@@ -61,7 +41,7 @@ class RandomLiarOracle:
         self.l = l
         self.p = p
         self.lies_used = 0
-        self._rng = random.Random(seed)
+        self._rng = random.Random(seed) if l else None
 
     def answer(self, u: int, v: int) -> int:
         if u == v or not (0 <= u < self.n and 0 <= v < self.n):
@@ -74,6 +54,27 @@ class RandomLiarOracle:
 
     def verify_budget(self) -> bool:
         return self.lies_used <= self.l
+
+
+class TruthfulOracle(RandomLiarOracle):
+    """Answers straight from a hidden partition: a liar with no lie budget."""
+
+    kind = "truthful"
+
+    def __init__(self, hidden: Partition) -> None:
+        super().__init__(hidden, 0, 0.0, None)
+
+
+def _charge(levels: list[int], costed: int) -> None:
+    """Move the costed candidates up one level, in place.
+
+    levels[j] is the mask of the candidates that disagree with exactly j
+    answers; a candidate pushed past the last level drops out.
+    """
+    spared = ~costed
+    for j in range(len(levels) - 1, 0, -1):
+        levels[j] = levels[j] & spared | levels[j - 1] & costed
+    levels[0] &= spared
 
 
 class AdversarialOracle:

@@ -173,18 +173,6 @@ def _join_masks(n: int, ks: tuple[int, ...]) -> dict[Pair, int]:
     return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}
 
 
-def _charge(levels: list[int], costed: int) -> None:
-    """Move the costed candidates up one level, in place.
-
-    levels[j] is the mask of the candidates that disagree with exactly j
-    answers; a candidate pushed past the last level drops out.
-    """
-    spared = ~costed
-    for j in range(len(levels) - 1, 0, -1):
-        levels[j] = levels[j] & spared | levels[j - 1] & costed
-    levels[0] &= spared
-
-
 def _stirling_row(n: int, k: int) -> list[int]:
     """stirling2(n, j) for j = 0..k, one row of the recurrence at a time."""
     row = [1] + [0] * k

@@ -161,6 +161,39 @@ def test_check_plan_with_huge_multiplicities(capsys, tmp_path):
         assert json.loads(out)["decodable"] is False, l
 
 
+def test_check_plan_with_many_distinct_subset_sums(tmp_path):
+    # 21 pairs asked 2^0 ... 2^20 times, so every total up to 2l is a subset sum.
+    # Run in a child process under a 1 GB address-space limit: a check that
+    # kept one entry per reachable total would raise MemoryError there.
+    import resource
+
+    plan_file = tmp_path / "plan.json"
+    queries = [[u, v, 1 << i] for i, (u, v) in enumerate(
+        (u, v) for u in range(7) for v in range(u + 1, 7))]
+    plan_file.write_text(json.dumps({"n": 7, "k_mode": None, "queries": queries}))
+    path = [str(Path(liarclust.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "liarclust", "check-plan", "--plan-file", str(plan_file),
+         "-l", "1048574"],
+        capture_output=True, env=env, timeout=60, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert json.loads(proc.stdout) == {"n": 7, "k_mode": None, "total_queries": 2**21 - 1,
+                                       "lie_tolerance": 1048574, "decodable": False}
+
+
+def test_simulate_rejects_k_outside_one_to_n(capsys):
+    for k in ("0", "7"):
+        code, out, err = run_cli(capsys, "simulate", "--learner", "insertion", "-n", "5",
+                                 "-k", k, "--trials", "1")
+        assert (code, out, err) == (2, "", f"error: need 1 <= k <= n, got k={k}, n=5\n"), k
+
+
 def test_decode_round_trip(capsys, tmp_path):
     from liarclust.learners.plans import build_plan, truthful_answers
     from liarclust.partitions import Partition

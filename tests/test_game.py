@@ -25,6 +25,7 @@ from references import (
     SignedAnswers,
     canonical_key,
     fewest_edges_with_one_k_partition,
+    join_masks,
     k_inseparable,
     k_partitions,
     label_tuples,
@@ -596,6 +597,19 @@ def test_join_masks_match_a_bit_by_bit_build():
                     if lab[u] == lab[v]:
                         want |= 1 << i
                 assert mask == want, (n, ks, u, v)
+
+
+def test_solver_join_bytes_match_the_reference_join_masks():
+    # The solver compares label columns; byte i is 1 exactly where bit i is set.
+    for n in range(3, 8):
+        for k in range(2, n):
+            solver = _MinimaxSolver(n, k, 1, 0)
+            want = join_masks(n, (k,))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            assert len(solver.join) == len(pairs), (n, k)
+            for pair, spread in zip(pairs, solver.join):
+                got = spread.to_bytes(solver.size, "little")
+                assert got == bytes(want[pair] >> i & 1 for i in range(solver.size)), (n, k, pair)
 
 
 def test_relabel_tables_are_index_permutations():

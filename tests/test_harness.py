@@ -12,6 +12,7 @@ import pytest
 from liarclust.bounds import expected_queries
 from liarclust.harness import (
     LEARNERS,
+    ORACLE_KINDS,
     ExperimentConfig,
     QueryBudgetExceededError,
     audit_rows,
@@ -129,6 +130,16 @@ def test_config_validation():
         ExperimentConfig(learner="insertion", n=5, k=3, sizes=(3, 2))  # k mismatch
     with pytest.raises(ValueError):
         ExperimentConfig(learner="robust", n=5, k=2, robustified=True)
+    # One message for a missing k, whatever the learner or oracle.
+    for learner, oracle in (("insertion_k", "truthful"), ("insertion", "liar"),
+                            ("insertion", "adversary")):
+        with pytest.raises(ValueError, match="^need k or sizes$"):
+            ExperimentConfig(learner=learner, n=5, oracle=oracle)
+    # k outside 1..n is refused when the config is built, not when it runs.
+    for k in (-1, 0, 6, 7):
+        for oracle in ORACLE_KINDS:
+            with pytest.raises(ValueError, match=f"^need 1 <= k <= n, got k={k}, n=5$"):
+                ExperimentConfig(learner="insertion", n=5, k=k, oracle=oracle)
 
 
 def test_run_game_query_cap():

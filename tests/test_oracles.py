@@ -53,6 +53,26 @@ def test_hidden_partition_oracles_refuse_bad_pairs():
             assert [oracle.answer(*p) for p in pairs] == [fresh.answer(*p) for p in pairs]
 
 
+def test_truthful_oracle_is_the_liar_without_budget():
+    one_cluster, singletons = Partition(4, ((0, 1, 2, 3),)), Partition(4, ((0,), (1,), (2,), (3,)))
+    for hidden in (HIDDEN, one_cluster, singletons):
+        n = hidden.n
+        pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
+        for p, seed in ((0.0, None), (1.0, 3), (0.5, "any")):
+            truthful, liar = TruthfulOracle(hidden), RandomLiarOracle(hidden, 0, p, seed)
+            for u, v in pairs:
+                outcomes = []
+                for oracle in (truthful, liar):
+                    try:
+                        outcomes.append(oracle.answer(u, v))
+                    except ValueError as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (hidden, p, u, v)
+                assert truthful.lies_used == liar.lies_used == 0
+                assert truthful.verify_budget() and liar.verify_budget()
+            assert (truthful.kind, liar.kind) == ("truthful", "liar")
+
+
 def test_liar_with_zero_probability_is_truthful():
     oracle = RandomLiarOracle(HIDDEN, l=3, p=0.0, seed=7)
     for u in range(5):

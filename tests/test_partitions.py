@@ -9,9 +9,9 @@ import pytest
 
 from liarclust import partitions
 from liarclust.limits import ExhaustionLimitError
+from liarclust.oracles import _charge
 from liarclust.partitions import (
     Partition,
-    _charge,
     _join_masks,
     _label_columns,
     bell,

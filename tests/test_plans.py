@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -539,6 +540,37 @@ def test_plan_decodable_with_huge_multiplicities():
         assert plan_decodable(plan, l) == want, (plan, l)
         verdicts[want] += 1
     assert min(verdicts.values()) >= 30, verdicts
+
+
+def test_plan_decodable_with_distinct_power_of_two_multiplicities():
+    rng = random.Random("powers-of-two")
+    verdicts = {False: 0, True: 0}
+    for _ in range(400):
+        n = rng.randint(3, 5)
+        pairs = [p for p in combinations(range(n), 2) if rng.random() < 0.9]
+        powers = rng.sample(range(len(pairs) + 4), len(pairs))
+        queries = tuple((u, v, 1 << e) for (u, v), e in zip(pairs, powers))
+        plan = QueryPlan(n, rng.choice([None, *range(2, n)]), queries)
+        l = rng.randint(1, 2 ** rng.randint(1, len(pairs)))
+        want = _reference_decodable(plan, l)
+        assert plan_decodable(plan, l) == want, (plan, l)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_plan_decodable_memory_stays_flat_with_many_subset_sums():
+    # The i-th of the 15 pairs is asked 2^i times, 2^15 - 1 queries in all, and
+    # 2l = 32,764 is below that: every total up to 2l is a subset sum.
+    pairs = combinations(range(6), 2)
+    plan = QueryPlan(6, None, tuple((u, v, 1 << i) for i, (u, v) in enumerate(pairs)))
+    plan_decodable(plan, 0)  # build the join masks outside the measurement
+    tracemalloc.start()
+    try:
+        assert not plan_decodable(plan, 16_382)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
