@@ -71,7 +71,7 @@ def _relabel_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     x -> x + 1, so they are built as the closure of those two generators
     under composition: each new table costs two getter calls.
     """
-    labels = list(zip(*_label_columns(n, k)[0]))
+    labels = list(zip(*_label_columns(n, k)))
     index_of = {lab: i for i, lab in enumerate(labels)}
 
     def relabel(lab: tuple[int, ...], order: tuple[int, ...]) -> int:
@@ -138,7 +138,7 @@ class _MinimaxSolver:
         self.size = stirling2(n, k)
         self.levels = range(l + 1)
         self.level_tables = [bytes(c == j for c in range(256)) for j in self.levels]
-        cols = _label_columns(n, k)[0]
+        cols = _label_columns(n, k)
         self.join = [int.from_bytes(bytes(map(eq, cols[u], cols[v])), "little")
                      for u, v in _pair_list(n)]
         self.orbits = _relabel_groups(n, k)

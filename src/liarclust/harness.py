@@ -124,6 +124,8 @@ class ExperimentConfig:
                 raise ValueError(f"sizes {self.sizes} do not sum to n={self.n}")
             if self.k is not None and self.k != len(self.sizes):
                 raise ValueError("k disagrees with the number of sizes")
+            if self.oracle == "adversary":
+                raise ValueError("the adversary has no hidden partition; give k, not sizes")
         if LEARNERS[self.learner].robust and self.robustified:
             raise ValueError(f"{self.learner} already repeats queries")
         if self.effective_k is None:

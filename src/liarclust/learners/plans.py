@@ -334,7 +334,7 @@ def plan_decodable(plan: QueryPlan, l: int = 0) -> bool:
     masks = _join_masks(plan.n, ks)
     if l == 0:
         rows = [f"{masks[u, v]:0{count}b}" for u, v, _ in plan.queries]
-        return len(set(zip(*rows))) == count
+        return len(set(map("".join, zip(*rows)))) == count
     width = (2 * l + 1).bit_length()
     start = (1 << width) - (2 * l + 1)
     joins = [(masks[u, v], m) for u, v, m in plan.queries]

@@ -17,7 +17,7 @@ from functools import reduce
 from operator import or_
 
 from .limits import check_enumeration_n
-from .partitions import Partition, _join_masks, _label_columns, stirling2
+from .partitions import Partition, _growth_counts, _join_masks, stirling2
 
 
 class RandomLiarOracle:
@@ -83,9 +83,9 @@ class AdversarialOracle:
     Bit i of a mask stands for the i-th k-partition in canonical order, and
     level j <= l is the mask of the candidates that disagree with exactly j
     answers given so far; a candidate past l is in no level.  Each answer
-    moves the candidates it costs up one level.  A candidate's labels are
-    read off the per-element label columns only to name it when committing
-    or as the witness; the enumeration cap is checked before any table.
+    moves the candidates it costs up one level.  A candidate is named, to
+    commit or as the witness, by unranking its index with the growth-string
+    completion counts; the enumeration cap is checked before any table.
 
     Before it commits, the oracle answers -1 unless every zero-cost
     explanation already forces the pair together.  It reads that off level
@@ -121,7 +121,6 @@ class AdversarialOracle:
         self.l = l
         self.hidden = None
         self.committed: Partition | None = None
-        self._cols = _label_columns(n, k)[0]
         self._join = _join_masks(n, (k,))
         self._all = (1 << stirling2(n, k)) - 1
         self._lv = [self._all] + [0] * l
@@ -152,7 +151,13 @@ class AdversarialOracle:
         return base
 
     def _candidate(self, bit: int) -> Partition:
-        return Partition.from_labels(col[bit.bit_length() - 1] for col in self._cols)
+        counts, rank, labels, used = _growth_counts(self.n, self.k), bit.bit_length() - 1, [0], 1
+        for left in range(self.n - 2, -1, -1):
+            stay = used * counts[left][used]  # ranks below stay keep one of the used labels
+            label, rank = divmod(rank, counts[left][used]) if rank < stay else (used, rank - stay)
+            used += label == used
+            labels.append(label)
+        return Partition.from_labels(labels)
 
     def answer(self, u: int, v: int) -> int:
         join = self._join.get((u, v) if u < v else (v, u))

@@ -7,7 +7,7 @@ not fixed.  It visits every partition once, in an order that tests
 elsewhere rely on ("canonical enumeration order": the lexicographic order
 of the label tuples, which are restricted growth strings).  Counting is
 done independently of enumeration via the usual recurrences, so each side
-can audit the other.  The walk that builds the columns also builds label masks.
+can audit the other.  The join masks read label masks from the same walk.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from math import factorial
-from operator import and_, or_
+from operator import and_, lshift, or_
 from typing import Iterable, Iterator
 
 from .limits import check_enumeration_n
@@ -101,7 +101,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     check_enumeration_n(n)
     if n == 0:
         yield Partition(0, ())
-    for labels in heapq.merge(*(zip(*_label_columns(n, k)[0]) for k in range(1, n + 1))):
+    for labels in heapq.merge(*(zip(*_label_columns(n, k)) for k in range(1, n + 1))):
         yield Partition.from_labels(labels)
 
 
@@ -110,17 +110,27 @@ def enumerate_k_partitions(n: int, k: int) -> Iterator[Partition]:
     check_enumeration_n(n)
     if n == k == 0:
         yield Partition(0, ())
-    for labels in zip(*_label_columns(n, k)[0]):
+    for labels in zip(*_label_columns(n, k)):
         yield Partition.from_labels(labels)
 
 
 @cache
-def _label_columns(n: int, k: int) -> tuple[tuple[bytes, ...], tuple[tuple[int, ...], ...]]:
-    """The k-partitions in canonical order, per element, as label columns and label masks; cached.
+def _label_columns(n: int, k: int) -> tuple[bytes, ...]:
+    """columns[x]: the label of x in each k-partition, in canonical order, one byte each; cached."""
+    return _growth_walk(n, k, False)
 
-    columns[x] holds the label of x in each k-partition, one byte each, and
-    bit i of masks[x][c] is set when the i-th one gives x label c.  A
-    growth-string prefix's completions depend only on (positions left,
+
+@cache
+def _label_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """masks[x][c]: bit i is set when the i-th k-partition gives x label c; cached."""
+    masks = _growth_walk(n, k, True)
+    return tuple(masks[x * k:x * k + k] for x in range(n))
+
+
+def _growth_walk(n: int, k: int, masks: bool) -> tuple:
+    """The k-partitions' label columns, or their label masks, k per element, in one walk.
+
+    A growth-string prefix's completions depend only on (positions left,
     labels used), so each such state is built once, from the end back: its
     first column repeats each allowed label, ascending, once per completion
     of that child, and each later column joins the children's columns; its
@@ -128,26 +138,26 @@ def _label_columns(n: int, k: int) -> tuple[tuple[bytes, ...], tuple[tuple[int, 
     """
     check_enumeration_n(n)
     if not 0 < k <= n:
-        return (), ()
-    states = {k: (1, (), ())}  # labels used -> (completions, columns, masks), `left` to fill
+        return ()
+    states = {k: (1, ())}  # labels used -> (completions, columns or masks), `left` to fill
     for left in range(1, n):
         level = {}
         for used in range(max(1, k - left), min(k, n - left) + 1):
-            kids, runs, head, at = [], [], [0] * k, 0
+            kids, offsets, head, at = [], [], [0 if masks else b""] * k, 0
             for c in range(min(used + 1, k)):
                 if max(used, c + 1) + left - 1 >= k:  # the rest can still open every label
-                    count, cols, masks = states[max(used, c + 1)]
-                    kids.append((at, cols, masks))
-                    runs.append(bytes([c]) * count)
-                    head[c] = ((1 << count) - 1) << at
+                    count, tables = states[max(used, c + 1)]
+                    kids.append(tables)
+                    offsets.append(at)
+                    head[c] = ((1 << count) - 1) << at if masks else bytes([c]) * count
                     at += count
-            rest = (b"".join(cols[i] for _, cols, _ in kids) for i in range(left - 1))
-            tail = (sum(m[j] << off for off, _, m in kids) for j in range((left - 1) * k))
-            level[used] = at, (b"".join(runs), *rest), (*head, *tail)
+            if masks:
+                level[used] = at, (*head, *(sum(map(lshift, m, offsets)) for m in zip(*kids)))
+            else:
+                level[used] = at, (b"".join(head), *map(b"".join, zip(*kids)))
         states = level
-    count, columns, masks = states[1]
-    masks = ((1 << count) - 1, *[0] * (k - 1), *masks)
-    return (bytes(count), *columns), tuple(masks[x * k:x * k + k] for x in range(n))
+    count, tables = states[1]
+    return ((1 << count) - 1, *[0] * (k - 1), *tables) if masks else (bytes(count), *tables)
 
 
 def _pair_list(n: int) -> tuple[Pair, ...]:
@@ -161,13 +171,13 @@ def _join_masks(n: int, ks: tuple[int, ...]) -> dict[Pair, int]:
 
     The candidates are the k-partitions for each k in ks, side by side,
     each k's in canonical order, and bit i stands for the i-th.  Each k's
-    label masks from _label_columns are shifted past the candidates of the
-    ks before it; a pair is joined where its two elements share a label.
+    label masks are shifted past the candidates of the ks before it; a
+    pair is joined where its two elements share a label.
     """
     check_enumeration_n(n)
     masks, at = [[0] * max(ks) for _ in range(n)], 0
     for k in ks:
-        for row, labels in zip(masks, _label_columns(n, k)[1]):
+        for row, labels in zip(masks, _label_masks(n, k)):
             row[:k] = [r | mask << at for r, mask in zip(row, labels)]
         at += stirling2(n, k)
     return {(u, v): reduce(or_, map(and_, masks[u], masks[v])) for u, v in _pair_list(n)}

@@ -194,6 +194,13 @@ def test_simulate_rejects_k_outside_one_to_n(capsys):
         assert (code, out, err) == (2, "", f"error: need 1 <= k <= n, got k={k}, n=5\n"), k
 
 
+def test_simulate_rejects_sizes_with_the_adversary(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--learner", "robust_k", "--oracle", "adversary",
+                             "-n", "5", "--sizes", "1,4", "-l", "1", "--trials", "2")
+    want = "error: the adversary has no hidden partition; give k, not sizes\n"
+    assert (code, out, err) == (2, "", want)
+
+
 def test_decode_round_trip(capsys, tmp_path):
     from liarclust.learners.plans import build_plan, truthful_answers
     from liarclust.partitions import Partition

@@ -130,6 +130,10 @@ def test_config_validation():
         ExperimentConfig(learner="insertion", n=5, k=3, sizes=(3, 2))  # k mismatch
     with pytest.raises(ValueError):
         ExperimentConfig(learner="robust", n=5, k=2, robustified=True)
+    # The adversary has no hidden partition for sizes to fix.
+    for k in (None, 2):
+        with pytest.raises(ValueError, match="^the adversary has no hidden partition"):
+            ExperimentConfig(learner="robust_k", n=5, k=k, l=1, oracle="adversary", sizes=(1, 4))
     # One message for a missing k, whatever the learner or oracle.
     for learner, oracle in (("insertion_k", "truthful"), ("insertion", "liar"),
                             ("insertion", "adversary")):

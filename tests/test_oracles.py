@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from liarclust.harness import ExperimentConfig, simulate
 from liarclust.learners.adaptive import robust_insertion
 from liarclust.limits import ExhaustionLimitError
 from liarclust.oracles import AdversarialOracle, RandomLiarOracle, TruthfulOracle
-from liarclust.partitions import Partition
+from liarclust.partitions import Partition, enumerate_k_partitions
 from references import SignedAnswers
 
 
@@ -152,9 +153,22 @@ def test_adversary_survives_cyclic_interrogation():
         assert oracle.lies_used == record.cost(witness) <= l
 
 
+def test_adversary_names_candidates_in_canonical_order():
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            oracle = AdversarialOracle(n, k, 0)
+            for i, partition in enumerate(enumerate_k_partitions(n, k)):
+                assert oracle._candidate(1 << i) == partition, (n, k, i)
+    oracle, columns = AdversarialOracle(12, 5, 0), partitions._label_columns(12, 5)
+    rng = random.Random("unrank")
+    for i in [0, len(columns[0]) - 1, *(rng.randrange(len(columns[0])) for _ in range(200))]:
+        want = Partition.from_labels(col[i] for col in columns)
+        assert oracle._candidate(1 << i) == want, i
+
+
 def test_adversary_checks_the_enumeration_cap_before_building_tables(monkeypatch):
     # A shape that is already cached would skip the check inside the builders.
-    for table in (partitions._label_columns, partitions._join_masks):
+    for table in (partitions._label_columns, partitions._label_masks, partitions._join_masks):
         table.cache_clear()
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
     with pytest.raises(ExhaustionLimitError):
@@ -163,9 +177,10 @@ def test_adversary_checks_the_enumeration_cap_before_building_tables(monkeypatch
     def unreachable(n, k):
         raise AssertionError(f"tables built for n={n} past the cap")
 
-    for module in (partitions, oracles):
-        monkeypatch.setattr(module, "_label_columns", unreachable)
-        monkeypatch.setattr(module, "_join_masks", unreachable)
+    for name in ("_label_columns", "_label_masks", "_join_masks"):
+        monkeypatch.setattr(partitions, name, unreachable)
+    for name in ("_growth_counts", "_join_masks"):
+        monkeypatch.setattr(oracles, name, unreachable)
     with pytest.raises(ExhaustionLimitError):
         AdversarialOracle(6, 2, 1)
 

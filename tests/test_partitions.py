@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, cycle
 
 import pytest
 
 from liarclust import partitions
+from liarclust.game import _relabel_groups, _relabel_tables, exact_game_value
+from liarclust.learners.plans import build_plan, plan_decodable
 from liarclust.limits import ExhaustionLimitError
-from liarclust.oracles import _charge
+from liarclust.oracles import AdversarialOracle, _charge
 from liarclust.partitions import (
     Partition,
     _join_masks,
     _label_columns,
+    _label_masks,
     bell,
     enumerate_k_partitions,
     enumerate_partitions,
@@ -194,7 +198,7 @@ def test_label_columns_match_filtered_growth_strings():
         for k in range(n + 2):
             rows = [s for s in strings if max(s) == k - 1] if 0 < k <= n else []
             want = tuple(bytes(col) for col in zip(*rows))
-            assert _label_columns(n, k)[0] == want, (n, k)
+            assert _label_columns(n, k) == want, (n, k)
 
 
 def test_join_masks_match_the_digit_string_reference():
@@ -206,11 +210,30 @@ def test_join_masks_match_the_digit_string_reference():
             assert _join_masks(n, ks) == join_masks(n, ks), n
     # Bit i of masks[x][c] is set where column x gives candidate i label c.
     for n, k in [(1, 1), (5, 3), (8, 4)]:
-        columns, masks = _label_columns(n, k)
-        for col, row in zip(columns, masks):
+        for col, row in zip(_label_columns(n, k), _label_masks(n, k)):
             assert row == tuple(
                 sum(1 << i for i, label in enumerate(col) if label == c) for c in range(k)
             ), (n, k)
+
+
+def test_each_reader_builds_only_the_table_it_reads():
+    tables = (_label_columns, _label_masks, _join_masks, _relabel_tables, _relabel_groups)
+    for table in tables:
+        table.cache_clear()
+    assert len(list(enumerate_k_partitions(8, 3))) == stirling2(8, 3)
+    assert exact_game_value(5, 3, 1).value == 12
+    assert _label_columns.cache_info().currsize > 0
+    assert _label_masks.cache_info().currsize == 0
+    for table in tables:
+        table.cache_clear()
+    oracle = AdversarialOracle(8, 3, 1)
+    pairs = cycle(combinations(range(8), 2))
+    while not oracle.is_terminal():
+        oracle.answer(*next(pairs))
+    assert oracle.unique_witness().k == 3
+    assert plan_decodable(build_plan(8, 3))
+    assert _label_masks.cache_info().currsize > 0
+    assert _label_columns.cache_info().currsize == 0
 
 
 def test_enumeration_limit_guard(monkeypatch):
@@ -218,9 +241,11 @@ def test_enumeration_limit_guard(monkeypatch):
         raise AssertionError(f"tables built for n={n} past the cap")
 
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
+    partitions._label_masks.cache_clear()
     partitions._join_masks.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(partitions, "_label_columns", unreachable)
+        patch.setattr(partitions, "_label_masks", unreachable)
         with pytest.raises(ExhaustionLimitError):
             list(enumerate_partitions(6))
         for ks in [(2,), (1, 2, 3, 4, 5, 6)]:

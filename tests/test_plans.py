@@ -573,9 +573,21 @@ def test_plan_decodable_memory_stays_flat_with_many_subset_sums():
     assert peak < 1 << 20, peak
 
 
+def test_plan_decodable_without_lies_hashes_one_string_per_candidate():
+    plan = build_plan(10)
+    plan_decodable(plan, 0)  # build the join masks outside the measurement
+    tracemalloc.start()
+    try:
+        assert plan_decodable(plan, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20, peak
+
+
 def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
     plan = build_plan(6, 2)
-    for table in (partitions._label_columns, partitions._join_masks):
+    for table in (partitions._label_columns, partitions._label_masks, partitions._join_masks):
         table.cache_clear()
     monkeypatch.setenv("LIARCLUST_MAX_ENUM_N", "5")
     for l in (0, 1):
@@ -586,6 +598,7 @@ def test_plan_decodable_checks_the_enumeration_cap_first(monkeypatch):
         raise AssertionError(f"tables built for n={n} past the cap")
 
     monkeypatch.setattr(partitions, "_label_columns", unreachable)
+    monkeypatch.setattr(partitions, "_label_masks", unreachable)
     monkeypatch.setattr(partitions, "_join_masks", unreachable)
     monkeypatch.setattr(plans, "_join_masks", unreachable)
     for l in (0, 1):
